@@ -47,7 +47,6 @@ func run(args []string, out io.Writer) error {
 		suite      = fs.String("suite", "rmi", "perf suite for -json: rmi (BENCH_rmi.json), ring (rmi plus payload sweep), persist (BENCH_persist.json), fabric (BENCH_fabric.json), obs (BENCH_obs.json) or orderly (BENCH_orderly.json)")
 		label      = fs.String("label", "run", "entry label for -json records")
 		sweep      = fs.Bool("payload-sweep", false, "with -json -suite rmi: include the ring payload sweep in the entry")
-		groupc     = fs.Bool("group-commit", false, "run fabric experiments on the pipelined group-commit ack path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,7 +62,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	opts := bench.Options{Quick: *quick, Spin: *spin, GroupCommit: *groupc}
+	opts := bench.Options{Quick: *quick, Spin: *spin}
 	if *jsonPath != "" {
 		switch *suite {
 		case "rmi":
@@ -129,25 +128,7 @@ func writeRMIPerf(opts bench.Options, path, label string, sweep bool, out io.Wri
 	if err != nil {
 		return err
 	}
-	var file bench.RMIPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.RMIPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.RMIPerfSchema, entry); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "%s: appended %q (single %.0f ops/s, 8-goroutine speedup %.2fx)\n",
@@ -167,25 +148,7 @@ func writeRecoveryPerf(opts bench.Options, path, label string, out io.Writer) er
 	if err != nil {
 		return err
 	}
-	var file bench.RecoveryPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.RecoveryPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.RecoveryPerfSchema, entry); err != nil {
 		return err
 	}
 	if len(entry.Points) > 0 {
@@ -201,24 +164,9 @@ func writeRecoveryPerf(opts bench.Options, path, label string, out io.Writer) er
 		fmt.Fprintf(out, "%s: appended %q (no recovery points)\n", path, label)
 	}
 	if n := len(entry.GroupCommit); n > 0 {
-		best := entry.GroupCommit[0]
-		var baseAtBest float64
-		for _, p := range entry.GroupCommit {
-			if p.Grouped && p.PutsPerSec > best.PutsPerSec {
-				best = p
-			}
-		}
-		for _, p := range entry.GroupCommit {
-			if !p.Grouped && p.Writers == best.Writers {
-				baseAtBest = p.PutsPerSec
-			}
-		}
-		line := fmt.Sprintf("%s: group-commit sweep %d cells, best %.0f puts/s at %d writers (batch %.1f, ack p99 %.0fus)",
-			path, n, best.PutsPerSec, best.Writers, best.MeanBatch, best.AckP99US)
-		if baseAtBest > 0 {
-			line += fmt.Sprintf(", %.2fx over single-seal", best.PutsPerSec/baseAtBest)
-		}
-		fmt.Fprintln(out, line)
+		top := entry.GroupCommit[n-1]
+		fmt.Fprintf(out, "%s: group-commit sweep %d cells, %.0f puts/s at %d writers (batch %.1f, ack p99 %.0fus)\n",
+			path, n, top.PutsPerSec, top.Writers, top.MeanBatch, top.AckP99US)
 	}
 	return nil
 }
@@ -231,25 +179,7 @@ func writeFabricPerf(opts bench.Options, path, label string, out io.Writer) erro
 	if err != nil {
 		return err
 	}
-	var file bench.FabricPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.FabricPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.FabricPerfSchema, entry); err != nil {
 		return err
 	}
 	top := entry.Scale[len(entry.Scale)-1]
@@ -271,25 +201,7 @@ func writeObsPerf(opts bench.Options, path, label string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var file bench.ObsPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.ObsPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.ObsPerfSchema, entry); err != nil {
 		return err
 	}
 	worst := entry.Points[len(entry.Points)-1]
@@ -306,25 +218,7 @@ func writeOrderlyPerf(opts bench.Options, path, label string, out io.Writer) err
 	if err != nil {
 		return err
 	}
-	var file bench.OrderlyPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.OrderlyPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.OrderlyPerfSchema, entry); err != nil {
 		return err
 	}
 	for _, p := range entry.Points {
@@ -342,4 +236,37 @@ func speedupAt(e *bench.RMIPerfEntry, goroutines int) float64 {
 		}
 	}
 	return 0
+}
+
+// appendEntry appends entry to the trajectory file at path under
+// schema, creating the file when absent. Existing entries are carried
+// as raw JSON, so records written by earlier releases — whose fields
+// the entry types may no longer declare — stay verbatim.
+func appendEntry(path, schema string, entry any) error {
+	var file struct {
+		Schema  string            `json:"schema"`
+		Entries []json.RawMessage `json:"entries"`
+	}
+	raw, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(raw, &file); err != nil {
+			return fmt.Errorf("parse %s: %w", path, err)
+		}
+	case errors.Is(err, os.ErrNotExist):
+		// First record: start a fresh trajectory.
+	default:
+		return err
+	}
+	rec, err := json.Marshal(entry)
+	if err != nil {
+		return err
+	}
+	file.Schema = schema
+	file.Entries = append(file.Entries, rec)
+	enc, err := json.MarshalIndent(&file, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }

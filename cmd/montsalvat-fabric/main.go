@@ -1,8 +1,8 @@
 // Command montsalvat-fabric runs the sharded enclave fabric in one
 // process: N enclave gateways each owning a partition of the demo KV
-// keyspace, R warm-standby replicas per shard fed by synchronous
-// checkpoint shipping over attested peer channels, and a consistent-hash
-// router in front.
+// keyspace, R warm-standby replicas per shard fed by checkpoint
+// shipping over attested peer channels, and a consistent-hash router in
+// front.
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 //	                                               # mid-run, promote its
 //	                                               # replica, verify
 //	montsalvat-fabric -metrics-addr :9415          # fleet observability endpoint
-//	montsalvat-fabric -load -group-commit          # pipelined durable-write path
 //
 // With -load the process is its own client: concurrent routers drive
 // the keyspace through attested sessions, every acknowledged write is
@@ -21,12 +20,10 @@
 // primary is killed after the first load phase and its replica promoted
 // — acked writes must survive the switch.
 //
-// -group-commit switches the shards to the pipelined durable-write
-// path: concurrent puts are journaled as batched WAL records (one seal
-// per group) and acks are gated on the replica watermark instead of an
-// inline ship round. -commit-records and -commit-delay tune the batch
-// window. With -obs-check, the run additionally asserts that traced
-// commit-leader spans parent the batched ship spans.
+// Every shard journals concurrent puts as batched WAL records (one seal
+// per group) and gates each ack on the replica watermark. With
+// -obs-check and at least one replica, the run additionally asserts
+// that traced commit-leader spans parent the batched ship spans.
 //
 // -metrics-addr mounts the fabric-wide observability plane: one
 // endpoint serving shard-labeled montsalvat_fabric_* metrics
@@ -79,10 +76,6 @@ func run(args []string, out io.Writer) error {
 		traceSample = fs.Float64("trace-sample", 1, "fraction of routed operations traced (0 disables tracing)")
 		obsCheck    = fs.Bool("obs-check", false, "with -load: assert cross-World trace propagation and (with -failover) a complete promotion timeline")
 		orderlyChk  = fs.Bool("orderly-check", false, "model-check the fabric failover state machine (bounded exhaustive exploration), exit")
-
-		groupCommit   = fs.Bool("group-commit", false, "durable writes: group-commit WAL batching + pipelined replication (acks gated on the replica watermark)")
-		commitRecords = fs.Int("commit-records", 0, "with -group-commit: max records per commit batch (0 = engine default)")
-		commitDelay   = fs.Duration("commit-delay", 0, "with -group-commit: max time a commit leader holds the batch window open (0 = yield-based window)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -106,13 +99,10 @@ func run(args []string, out io.Writer) error {
 	}
 	start := time.Now()
 	f, err := fabric.New(fabric.Options{
-		Shards:           *shards,
-		Replicas:         *replicas,
-		Platform:         sgx.NewPlatformFromSeed([]byte(*attestSeed)),
-		Fleet:            fleet,
-		GroupCommit:      *groupCommit,
-		CommitMaxRecords: *commitRecords,
-		CommitMaxDelay:   *commitDelay,
+		Shards:   *shards,
+		Replicas: *replicas,
+		Platform: sgx.NewPlatformFromSeed([]byte(*attestSeed)),
+		Fleet:    fleet,
 	})
 	if err != nil {
 		return err
@@ -136,11 +126,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *load {
-		// The commit-leader trace assertion needs the pipelined ack
-		// path to actually run: group commit on and at least one
-		// replica to ship to.
-		checkCommit := *groupCommit && *replicas >= 1
-		return runLoad(out, f, fleet, *clients, *requests, *failover, *obsCheck, checkCommit)
+		// The commit-leader trace assertion needs a replica to ship to.
+		return runLoad(out, f, fleet, *clients, *requests, *failover, *obsCheck, *replicas >= 1)
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -258,7 +245,7 @@ func printTimeline(out io.Writer, fleet *telemetry.Fleet) {
 //  2. with failover, timeline completeness — the event journal holds
 //     kill, promote-begin, promote-commit, and epoch-bump events for
 //     the failover in strictly increasing Seq order;
-//  3. with group commit on the pipelined replication path, batched-ship
+//  3. with replicas to ship to, batched-ship
 //     attribution — at least one commit-leader span exists and parents
 //     at least one ship span, i.e. the trace shows which commit round a
 //     replica delta was shipped for. (Only a subset of ship spans have
@@ -317,7 +304,7 @@ func checkObservability(out io.Writer, fleet *telemetry.Fleet, failover, checkCo
 			}
 		}
 		if nLeaders == 0 {
-			return fmt.Errorf("obs-check: group commit ran but no commit-leader span was traced")
+			return fmt.Errorf("obs-check: replicas attached but no commit-leader span was traced")
 		}
 		parented := 0
 		for _, sp := range spans {

@@ -1,13 +1,11 @@
 package bench
 
-// Group-commit experiments: the durable-write cost model with and
-// without the commit queue. Each point drives W concurrent writers
-// through one persist.Manager and measures what the batching actually
-// buys — appends per second, per-ack latency quantiles, the achieved
-// batch size, and sealed bytes per operation. The ungrouped baseline
-// (one sealed frame per append, the fabric-v1 ack path) anchors every
-// writer count, so the table reads as "what did moving the seal out of
-// the per-mutation path change".
+// Group-commit experiments: the durable-write cost model of the commit
+// queue. Each point drives W concurrent writers through one
+// persist.Manager and measures what the batching buys — appends per
+// second, per-ack latency quantiles, the achieved batch size, and
+// sealed bytes per operation — so the table reads as "how far does one
+// sealed frame per group amortise as writers grow".
 
 import (
 	"fmt"
@@ -26,19 +24,10 @@ func groupCommitWriters(opts Options) []int {
 	return []int{1, 4, 16, 64}
 }
 
-// groupCommitDelays is the commit-window sweep. Zero relies on natural
-// batching (followers pile up while the leader seals); the timed
-// windows trade ack latency for larger groups.
-var groupCommitDelays = []time.Duration{0, 500 * time.Microsecond, 2 * time.Millisecond}
-
 // GroupCommitPoint is one machine-readable cell of the group-commit
 // sweep in BENCH_persist.json.
 type GroupCommitPoint struct {
-	Writers int `json:"writers"`
-	// DelayUS is the commit window in microseconds; -1 marks the
-	// ungrouped baseline (no commit queue at all).
-	DelayUS          float64 `json:"delay_us"`
-	Grouped          bool    `json:"grouped"`
+	Writers          int     `json:"writers"`
 	PutsPerSec       float64 `json:"puts_per_sec"`
 	AckP50US         float64 `json:"ack_p50_us"`
 	AckP99US         float64 `json:"ack_p99_us"`
@@ -47,19 +36,16 @@ type GroupCommitPoint struct {
 	SealedBytesPerOp float64 `json:"sealed_bytes_per_op"`
 }
 
-// runGroupCommitPoint measures one (writers, window) cell: W writers
-// each journal perWriter puts through a fresh manager, and every
-// Append's wall latency is sampled.
-func runGroupCommitPoint(opts Options, writers int, delay time.Duration, grouped bool) (GroupCommitPoint, error) {
+// runGroupCommitPoint measures one writer-count cell: W writers each
+// journal perWriter puts through a fresh manager, and every Append's
+// wall latency is sampled.
+func runGroupCommitPoint(opts Options, writers int) (GroupCommitPoint, error) {
 	perWriter := opts.scale(400, 80)
 	l, err := newRecoveryLineage(opts.Config())
 	if err != nil {
 		return GroupCommitPoint{}, err
 	}
-	m, st, err := l.bootWith(persist.Options{
-		GroupCommit:   grouped,
-		GroupMaxDelay: delay,
-	})
+	m, st, err := l.boot()
 	if err != nil {
 		return GroupCommitPoint{}, err
 	}
@@ -117,26 +103,16 @@ func runGroupCommitPoint(opts Options, writers int, delay time.Duration, grouped
 
 	pt := GroupCommitPoint{
 		Writers:  writers,
-		DelayUS:  float64(delay.Microseconds()),
-		Grouped:  grouped,
 		AckP50US: quant(0.50),
 		AckP99US: quant(0.99),
-	}
-	if !grouped {
-		pt.DelayUS = -1
 	}
 	if elapsed > 0 {
 		pt.PutsPerSec = float64(total) / elapsed
 	}
 	stats := m.Stats()
-	if grouped {
-		pt.SealedFrames = stats.GroupCommits
-		if stats.GroupCommits > 0 {
-			pt.MeanBatch = float64(stats.GroupedRecords) / float64(stats.GroupCommits)
-		}
-	} else {
-		pt.SealedFrames = stats.Appends
-		pt.MeanBatch = 1
+	pt.SealedFrames = stats.GroupCommits
+	if stats.GroupCommits > 0 {
+		pt.MeanBatch = float64(stats.GroupedRecords) / float64(stats.GroupCommits)
 	}
 	if total > 0 {
 		pt.SealedBytesPerOp = float64(stats.AppendedBytes) / float64(total)
@@ -144,65 +120,43 @@ func runGroupCommitPoint(opts Options, writers int, delay time.Duration, grouped
 	return pt, nil
 }
 
-// GroupCommitSweep runs the full (writers × window) grid plus the
-// ungrouped baseline per writer count — the machine-readable record
-// for BENCH_persist.json.
+// GroupCommitSweep runs one cell per writer count — the
+// machine-readable record for BENCH_persist.json.
 func GroupCommitSweep(opts Options) ([]GroupCommitPoint, error) {
 	var pts []GroupCommitPoint
 	for _, w := range groupCommitWriters(opts) {
-		base, err := runGroupCommitPoint(opts, w, 0, false)
+		pt, err := runGroupCommitPoint(opts, w)
 		if err != nil {
-			return nil, fmt.Errorf("group-commit baseline writers=%d: %w", w, err)
+			return nil, fmt.Errorf("group-commit writers=%d: %w", w, err)
 		}
-		pts = append(pts, base)
-		for _, d := range groupCommitDelays {
-			pt, err := runGroupCommitPoint(opts, w, d, true)
-			if err != nil {
-				return nil, fmt.Errorf("group-commit writers=%d delay=%s: %w", w, d, err)
-			}
-			pts = append(pts, pt)
-		}
+		pts = append(pts, pt)
 	}
 	return pts, nil
 }
 
 // GroupCommit regenerates the human-readable group-commit table.
 func GroupCommit(opts Options) (*Table, error) {
-	writers := groupCommitWriters(opts)
 	t := &Table{
 		ID:      "group-commit",
-		Title:   "Group commit: durable-put throughput vs writers and commit window",
+		Title:   "Group commit: durable-put throughput vs concurrent writers",
 		XLabel:  "series \\ writers",
 		Unit:    "puts/s",
-		Columns: intColumns(writers),
+		Columns: intColumns(groupCommitWriters(opts)),
 	}
 	pts, err := GroupCommitSweep(opts)
 	if err != nil {
 		return nil, err
 	}
-	row := func(name string, keep func(GroupCommitPoint) bool, pick func(GroupCommitPoint) float64) {
-		var vals []float64
-		for _, w := range writers {
-			for _, p := range pts {
-				if p.Writers == w && keep(p) {
-					vals = append(vals, pick(p))
-					break
-				}
-			}
-		}
-		t.AddRow(name, vals...)
+	var puts, batch, p99 []float64
+	for _, p := range pts {
+		puts = append(puts, p.PutsPerSec)
+		batch = append(batch, p.MeanBatch)
+		p99 = append(p99, p.AckP99US)
 	}
-	isBase := func(p GroupCommitPoint) bool { return !p.Grouped }
-	forDelay := func(d time.Duration) func(GroupCommitPoint) bool {
-		return func(p GroupCommitPoint) bool { return p.Grouped && p.DelayUS == float64(d.Microseconds()) }
-	}
-	puts := func(p GroupCommitPoint) float64 { return p.PutsPerSec }
-	row("single-seal", isBase, puts)
-	for _, d := range groupCommitDelays {
-		row(fmt.Sprintf("window-%s", d), forDelay(d), puts)
-	}
-	row("batch@window-0", forDelay(0), func(p GroupCommitPoint) float64 { return p.MeanBatch })
-	t.AddNote("single-seal = one sealed WAL frame per append (the old ack path); window-X = commit queue with that max delay")
-	t.AddNote("batch row = mean records per sealed frame at window 0: batching is natural, followers queue while the leader seals")
+	t.AddRow("puts/s", puts...)
+	t.AddRow("batch", batch...)
+	t.AddRow("ack-p99-us", p99...)
+	t.AddNote("every append rides the commit queue: a leader yields once per term, then seals the queued group as one WAL frame")
+	t.AddNote("batch row = mean records per sealed frame: batching is natural, followers queue while the leader seals")
 	return t, nil
 }

@@ -4,8 +4,9 @@ package bench
 // enclave fabric, and failover time (kill the primary, promote the
 // replica from shipped state). Both drive real attested sessions
 // through the Router against an in-process N-shard fabric, so the
-// numbers include the session crypto, the per-shard WAL append, and —
-// when replicas are configured — synchronous checkpoint shipping.
+// numbers include the session crypto, the per-shard group-committed WAL
+// append, and — when replicas are configured — the watermark-gated
+// replication every ack waits on.
 
 import (
 	"fmt"
@@ -66,8 +67,8 @@ func modeledRate(before, after map[int]int64, ops int) float64 {
 // *degrades* with shard count for setup reasons that have nothing to do
 // with the per-put path (the fabric-v1 entry in BENCH_fabric.json was
 // recorded cold, which is much of its 2->8 shard flatline).
-func runFabricScalePoint(shards, clients, opsPerClient int, groupCommit bool) (fabricLoadPoint, error) {
-	f, err := fabric.New(fabric.Options{Shards: shards, GroupCommit: groupCommit})
+func runFabricScalePoint(shards, clients, opsPerClient int) (fabricLoadPoint, error) {
+	f, err := fabric.New(fabric.Options{Shards: shards})
 	if err != nil {
 		return fabricLoadPoint{}, err
 	}
@@ -193,7 +194,7 @@ func FabricScale(opts Options) (*Table, error) {
 	}
 	var puts, gets, modeled, speed []float64
 	for _, n := range shardCounts {
-		p, err := runFabricScalePoint(n, clients, opsPerClient, opts.GroupCommit)
+		p, err := runFabricScalePoint(n, clients, opsPerClient)
 		if err != nil {
 			return nil, fmt.Errorf("fabric-scale shards=%d: %w", n, err)
 		}
@@ -232,8 +233,8 @@ func fabricFailoverRecords(opts Options) []int {
 // fabric, kills the primary, and measures promotion (recover the
 // shipped root on the standby, rollback check, reopen the gateway).
 // Every acked write is re-read from the promoted shard.
-func runFailoverPoint(records int, groupCommit bool) (promote time.Duration, err error) {
-	f, err := fabric.New(fabric.Options{Shards: 1, Replicas: 1, GroupCommit: groupCommit})
+func runFailoverPoint(records int) (promote time.Duration, err error) {
+	f, err := fabric.New(fabric.Options{Shards: 1, Replicas: 1})
 	if err != nil {
 		return 0, err
 	}
@@ -281,7 +282,7 @@ func FailoverTime(opts Options) (*Table, error) {
 	}
 	var row []float64
 	for _, n := range counts {
-		d, err := runFailoverPoint(n, opts.GroupCommit)
+		d, err := runFailoverPoint(n)
 		if err != nil {
 			return nil, fmt.Errorf("failover n=%d: %w", n, err)
 		}
@@ -289,7 +290,7 @@ func FailoverTime(opts Options) (*Table, error) {
 	}
 	t.AddRow("promote", row...)
 	t.AddNote("promotion = recover shipped root on the standby (unseal checkpoint + replay WAL tail) + rollback check + reopen gateway")
-	t.AddNote("writes were acked only after synchronous shipping, so the standby never trails the promise")
+	t.AddNote("writes were acked only once the replica watermark covered them, so the standby never trails the promise")
 	return t, nil
 }
 
@@ -316,23 +317,12 @@ type FailoverPoint struct {
 // perf-trajectory format of BENCH_fabric.json that future changes
 // compare against.
 type FabricPerfEntry struct {
-	Label      string `json:"label"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Quick      bool   `json:"quick"`
-	Clients    int    `json:"clients"`
-	// GroupCommit records which ack path the run used: false is the
-	// per-mutation synchronous path (fabric-v1), true the pipelined
-	// group-commit one.
-	GroupCommit bool               `json:"group_commit"`
-	Scale       []FabricScalePoint `json:"scale"`
-	Failover    []FailoverPoint    `json:"failover"`
-}
-
-// FabricPerfFile is the on-disk shape of BENCH_fabric.json: an
-// append-only list of labelled runs.
-type FabricPerfFile struct {
-	Schema  string            `json:"schema"`
-	Entries []FabricPerfEntry `json:"entries"`
+	Label      string             `json:"label"`
+	GoMaxProcs int                `json:"gomaxprocs"`
+	Quick      bool               `json:"quick"`
+	Clients    int                `json:"clients"`
+	Scale      []FabricScalePoint `json:"scale"`
+	Failover   []FailoverPoint    `json:"failover"`
 }
 
 // FabricPerfSchema identifies the BENCH_fabric.json format.
@@ -343,15 +333,14 @@ const FabricPerfSchema = "montsalvat-bench-fabric/v1"
 func FabricPerf(opts Options, label string) (*FabricPerfEntry, error) {
 	clients, opsPerClient := fabricScaleParams(opts)
 	e := &FabricPerfEntry{
-		Label:       label,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Quick:       opts.Quick,
-		Clients:     clients,
-		GroupCommit: opts.GroupCommit,
+		Label:      label,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Quick:      opts.Quick,
+		Clients:    clients,
 	}
 	var base float64
 	for _, n := range fabricShardCounts(opts) {
-		p, err := runFabricScalePoint(n, clients, opsPerClient, opts.GroupCommit)
+		p, err := runFabricScalePoint(n, clients, opsPerClient)
 		if err != nil {
 			return nil, fmt.Errorf("fabric-perf shards=%d: %w", n, err)
 		}
@@ -371,7 +360,7 @@ func FabricPerf(opts Options, label string) (*FabricPerfEntry, error) {
 		e.Scale = append(e.Scale, pt)
 	}
 	for _, n := range fabricFailoverRecords(opts) {
-		d, err := runFailoverPoint(n, opts.GroupCommit)
+		d, err := runFailoverPoint(n)
 		if err != nil {
 			return nil, fmt.Errorf("fabric-perf failover n=%d: %w", n, err)
 		}

@@ -66,19 +66,15 @@ func TestGroupCommitSweepShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	writers := groupCommitWriters(quickOpts())
-	wantCells := len(writers) * (1 + len(groupCommitDelays))
-	if len(pts) != wantCells {
-		t.Fatalf("cells = %d, want %d", len(pts), wantCells)
+	if len(pts) != len(writers) {
+		t.Fatalf("cells = %d, want %d", len(pts), len(writers))
 	}
 	for _, p := range pts {
 		if p.PutsPerSec <= 0 || p.AckP50US <= 0 || p.AckP99US < p.AckP50US {
 			t.Errorf("cell %+v: degenerate throughput/latency", p)
 		}
-		if !p.Grouped && (p.MeanBatch != 1 || p.DelayUS != -1) {
-			t.Errorf("baseline cell %+v: not single-seal", p)
-		}
-		if p.Grouped && p.MeanBatch < 1 {
-			t.Errorf("grouped cell %+v: batch below 1", p)
+		if p.MeanBatch < 1 {
+			t.Errorf("cell %+v: batch below 1", p)
 		}
 		if p.SealedFrames == 0 || p.SealedBytesPerOp <= 0 {
 			t.Errorf("cell %+v: no sealing accounted", p)
@@ -88,9 +84,9 @@ func TestGroupCommitSweepShape(t *testing.T) {
 	// queue seals fewer frames than it journals records.
 	maxW := writers[len(writers)-1]
 	for _, p := range pts {
-		if p.Grouped && p.Writers == maxW && p.MeanBatch > 1 {
+		if p.Writers == maxW && p.MeanBatch > 1 {
 			return
 		}
 	}
-	t.Fatalf("no grouped cell at %d writers achieved batch > 1", maxW)
+	t.Fatalf("no cell at %d writers achieved batch > 1", maxW)
 }

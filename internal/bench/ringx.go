@@ -84,10 +84,10 @@ func runRingPoint(cfg simcfg.Config, payload, iters int) (ringPoint, error) {
 		p.CyclesPerOp = float64(charged) / ops
 		p.CopyCycles = float64(ds1.MEECopiedBytes-ds0.MEECopiedBytes) * simcfg.MEEBytesPerCycle / ops
 		p.CryptoCycles = float64(ds1.RingSealedBytes-ds0.RingSealedBytes) / simcfg.RingCryptoBytesPerCycle / ops
-		doorbells := ds1.RingDoorbells - ds0.RingDoorbells
+		// Each setAll is one synchronous ring call, charged the polled
+		// hand-off.
 		submits := ds1.RingSubmits - ds0.RingSubmits
-		p.HandoffCycles = (float64(doorbells)*simcfg.RingDoorbellCycles +
-			float64(submits-doorbells)*simcfg.RingSubmitCycles) / ops
+		p.HandoffCycles = float64(submits) * simcfg.RingSubmitCycles / ops
 		p.Oversize = ds1.RingOversize - ds0.RingOversize
 		return nil
 	})

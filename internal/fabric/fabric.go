@@ -2,7 +2,7 @@ package fabric
 
 // fabric.go is the controller: it boots N primary shards and R warm
 // standbys per shard inside one process, wires the replication channels
-// (mutually attested, synchronous in the ack path), publishes the
+// (mutually attested, gating every ack on the replica watermark), publishes the
 // routing table, and drives the failure-handling verbs — KillShard
 // captures the acked position of a dying primary, Promote recovers a
 // standby against it. One signer and one platform secret span the
@@ -48,23 +48,12 @@ type Options struct {
 	MaxInFlight int
 	// PeerTimeout bounds peer handshakes (default 10s).
 	PeerTimeout time.Duration
-	// GroupCommit turns on the pipelined durable-write path: each
-	// shard's manager batches concurrent appends into one sealed WAL
-	// frame (persist group commit), the gateway journals through the
-	// async hook, and replication moves off the ack path onto a
-	// per-shard pump. A put acks only once its LSN is durable AND every
-	// replica's acked watermark covers it — same guarantee as the
-	// synchronous path, without a seal, a counter advance, and a ship
-	// round per mutation.
-	GroupCommit bool
-	// CommitMaxRecords / CommitMaxDelay tune the persist commit window
-	// (zero means the persist defaults: 64 records, no timed window).
-	CommitMaxRecords int
-	CommitMaxDelay   time.Duration
 	// SyncFallbackAfter bounds how long an ack may wait on the
-	// pipelined watermark before the shard ships synchronously on the
-	// waiter's behalf (default 25ms). A stalled or paused replica
-	// degrades that waiter to the fabric-v1 synchronous path instead of
+	// replication watermark before the shard ships synchronously on the
+	// waiter's behalf (default 25ms). Every put is journaled through the
+	// shard's group-commit queue and acks only once its LSN is durable
+	// AND every replica's acked watermark covers it; a stalled or paused
+	// replica degrades the waiter to that synchronous ship instead of
 	// losing or indefinitely delaying its ack.
 	SyncFallbackAfter time.Duration
 	// Logf receives diagnostics from every layer of the fabric.

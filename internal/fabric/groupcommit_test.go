@@ -8,19 +8,14 @@ import (
 	"time"
 )
 
-// TestFabricGroupCommitFailover is the failover drill on the pipelined
-// ack path: concurrent load with group commit on, primary killed
-// mid-stream, standby promoted — every acknowledged write must be
-// readable afterwards. This is the "acked ⇒ durable ∧ replicated"
-// invariant surviving the move of the seal, the counter, and the ship
-// round out of the per-mutation ack path.
+// TestFabricGroupCommitFailover is the failover drill under concurrent
+// writers, so puts batch into shared commit groups and shared ship
+// rounds: primary killed mid-stream, standby promoted — every
+// acknowledged write must be readable afterwards. This is the "acked ⇒
+// durable ∧ replicated" invariant holding with the seal, the counter,
+// and the ship round off the per-mutation ack path.
 func TestFabricGroupCommitFailover(t *testing.T) {
-	f, err := New(Options{
-		Shards:         2,
-		Replicas:       1,
-		GroupCommit:    true,
-		CommitMaxDelay: 500 * time.Microsecond,
-	})
+	f, err := New(Options{Shards: 2, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +88,13 @@ func TestFabricGroupCommitFailover(t *testing.T) {
 // contract: a paused (stalled) replica freezes the replication
 // watermark, so acks stop flowing through the pipeline — but they are
 // not lost. Each stalled waiter degrades to the synchronous ship path
-// after SyncFallbackAfter and completes, exactly as fabric-v1 would
-// have acked it. Once the replica resumes, the pipeline catches the
+// after SyncFallbackAfter and completes. Once the replica resumes, the
+// pipeline catches the
 // watermark up and acked writes survive a full failover.
 func TestFabricGroupCommitPausedReplicaFallsBack(t *testing.T) {
 	f, err := New(Options{
 		Shards:            1,
 		Replicas:          1,
-		GroupCommit:       true,
 		SyncFallbackAfter: 2 * time.Millisecond,
 	})
 	if err != nil {
@@ -168,7 +162,6 @@ func TestFabricGroupCommitStalePromotionRejected(t *testing.T) {
 	f, err := New(Options{
 		Shards:            1,
 		Replicas:          1,
-		GroupCommit:       true,
 		SyncFallbackAfter: 2 * time.Millisecond,
 	})
 	if err != nil {

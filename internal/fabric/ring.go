@@ -23,9 +23,10 @@
 //
 //   - Checkpoint-shipping replication: each primary streams its sealed
 //     durable root (persist checkpoints + WAL tail + monotonic-counter
-//     file) to a warm-standby replica over the peer channel,
-//     synchronously inside the gateway's Journal hook — a write is
-//     acked only after it is both durable and replicated. Promote
+//     file) to a warm-standby replica over the peer channel; the
+//     gateway's Journal hook holds each ack until the replica
+//     watermark covers the write — a write is acked only after it is
+//     both durable and replicated. Promote
 //     recovers the replica from the shipped root and splices it into
 //     the routing table at a new epoch; a replica whose recovered
 //     counter stamp or LSN trails what the dead primary had acked is

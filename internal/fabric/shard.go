@@ -6,9 +6,11 @@ package fabric
 // checkpoints, monotonic counter) lives on a per-shard filesystem —
 // the unit that checkpoint shipping replicates and promotion rebuilds.
 // The gateway's ShardCheck predicate rejects keys the consistent-hash
-// ring assigns elsewhere, and its Journal hook appends and
-// synchronously ships every put before the ack leaves, so "acked"
-// always implies "durable on the replica set".
+// ring assigns elsewhere, and its Journal hook appends every put
+// through the group-commit queue and holds the ack until the
+// replication pump has shipped it to every replica (or the fallback
+// shipped it synchronously), so "acked" always implies "durable on the
+// replica set".
 
 import (
 	"context"
@@ -69,7 +71,7 @@ type shardNode struct {
 	mgr      *persist.Manager
 	shippers []*shipper
 
-	// Replication pump state (group-commit mode only). Lock hierarchy:
+	// Replication pump state. Lock hierarchy:
 	// ackMu > n.mu > shipper locks > manager mutex — ackMu may be held
 	// while computing the watermark (which snapshots shippers under
 	// n.mu), never the reverse.
@@ -82,13 +84,13 @@ type shardNode struct {
 	pumpStop chan struct{}
 	pumpDone chan struct{}
 
-	// ackedHigh is the highest LSN this node has acknowledged (group-
-	// commit mode). It seeds from the recovered position at gateway
-	// start and advances with every completed ack. kill() captures it
-	// as the promotion expectation: the durable-but-unacked tail
-	// beyond it carries no promise and must not fail a healthy
-	// successor, while everything at or below it was replicated (or
-	// fallback-shipped) before its ack left.
+	// ackedHigh is the highest LSN this node has acknowledged. It seeds
+	// from the recovered position at gateway start and advances with
+	// every completed ack. kill() captures it as the promotion
+	// expectation: the durable-but-unacked tail beyond it carries no
+	// promise and must not fail a healthy successor, while everything
+	// at or below it was replicated (or fallback-shipped) before its
+	// ack left.
 	ackedHigh atomic.Uint64
 }
 
@@ -153,19 +155,16 @@ func (f *Fabric) openManager(id int, w *world.World, fs shim.FS, kv *persist.Wor
 		return nil, persist.Report{}, err
 	}
 	m, err := persist.Open(persist.Options{
-		FS:              fs,
-		Enclave:         w.Enclave(),
-		Secret:          f.secret,
-		Counter:         ctr,
-		Dir:             shardDir,
-		BeforeCommit:    w.Flush,
-		Telemetry:       tel.Registry(),
-		Events:          tel.Events(),
-		Node:            ShardOrigin(id),
-		Logf:            f.opts.Logf,
-		GroupCommit:     f.opts.GroupCommit,
-		GroupMaxRecords: f.opts.CommitMaxRecords,
-		GroupMaxDelay:   f.opts.CommitMaxDelay,
+		FS:           fs,
+		Enclave:      w.Enclave(),
+		Secret:       f.secret,
+		Counter:      ctr,
+		Dir:          shardDir,
+		BeforeCommit: w.Flush,
+		Telemetry:    tel.Registry(),
+		Events:       tel.Events(),
+		Node:         ShardOrigin(id),
+		Logf:         f.opts.Logf,
 	})
 	if err != nil {
 		return nil, persist.Report{}, err
@@ -228,19 +227,15 @@ func (n *shardNode) startGateway() error {
 		ShardCheck:  f.shardCheckFor(n.id),
 		Telemetry:   n.tel,
 		Node:        ShardOrigin(n.id),
+		Journal:     n.journal,
 	}
-	if f.opts.GroupCommit {
-		// Pipelined path: the worker hands the put to the commit queue
-		// and is freed; the ack leaves when the replication watermark
-		// covers the put's LSN. The pump must be live before the first
-		// request lands. Everything recovered counts as acked — it was
-		// validated against the predecessor's expectation.
-		n.ackedHigh.Store(n.mgr.Stats().LastLSN)
-		sOpts.JournalAsync = n.journalAsync
-		n.startPump()
-	} else {
-		sOpts.Journal = n.journal
-	}
+	// The worker hands each put to the commit queue and is freed; the
+	// ack leaves when the replication watermark covers the put's LSN.
+	// The pump must be live before the first request lands. Everything
+	// recovered counts as acked — it was validated against the
+	// predecessor's expectation.
+	n.ackedHigh.Store(n.mgr.Stats().LastLSN)
+	n.startPump()
 	srv, err := serve.New(sOpts)
 	if err != nil {
 		n.stopPump(fmt.Errorf("fabric: shard %d gateway failed to start", n.id))
@@ -317,31 +312,15 @@ func (n *shardNode) manager() *persist.Manager {
 	return n.mgr
 }
 
-// journal is the gateway's Journal hook: append the put, then ship the
-// delta to every replica before the ack leaves. A ship failure fails
-// the request — an un-replicated write is never acknowledged. The
-// mutation's trace context rides along so the replication leg of the
-// ack path lands in the same trace as the client's put.
-func (n *shardNode) journal(m serve.Mutation) error {
-	if m.Op != serve.MutationCall || m.Class != demo.KVStoreCls || m.Method != "put" || len(m.Args) < 2 {
-		return nil
-	}
-	key, _ := m.Args[0].AsStr()
-	val, _ := m.Args[1].AsStr()
-	if _, err := n.manager().Append("kv", persist.OpPut, key, []byte(val)); err != nil {
-		return err
-	}
-	return n.shipAll(m.Trace)
-}
-
-// journalAsync is the gateway hook on the pipelined path. The append
-// runs inline — concurrent workers parking on the commit queue is
-// exactly what forms a batch, and the pool is wider than any client
-// fan-out — but the ack goes asynchronous the moment it has to wait on
-// replication: complete fires from the pump (watermark) or the
-// fallback ship, not from this worker. Non-put mutations complete
-// immediately.
-func (n *shardNode) journalAsync(m serve.Mutation, complete func(error)) {
+// journal is the gateway's Journal hook. The append runs inline —
+// concurrent workers parking on the commit queue is exactly what forms
+// a batch, and the pool is wider than any client fan-out — but the ack
+// goes asynchronous the moment it has to wait on replication: complete
+// fires from the pump (watermark) or the fallback ship, not from this
+// worker. The mutation's trace context rides along so the replication
+// leg of the ack path lands in the same trace as the client's put.
+// Non-put mutations complete immediately.
+func (n *shardNode) journal(m serve.Mutation, complete func(error)) {
 	if m.Op != serve.MutationCall || m.Class != demo.KVStoreCls || m.Method != "put" || len(m.Args) < 2 {
 		complete(nil)
 		return
@@ -356,6 +335,12 @@ func (n *shardNode) journalAsync(m serve.Mutation, complete func(error)) {
 	n.awaitReplicated(lsn, m.Trace, complete)
 }
 
+// skipAckGate plants the ungated-ack bug — awaitReplicated completing
+// a waiter without consulting the replication watermark — for the
+// model checker's mutation test (export_test.go). Never set outside
+// tests.
+var skipAckGate bool
+
 // awaitReplicated gates an ack on the replication watermark: complete
 // fires once every replica's acked LSN covers lsn. If the watermark
 // stalls, the fallback timer degrades this waiter to a synchronous
@@ -368,7 +353,7 @@ func (n *shardNode) awaitReplicated(lsn uint64, sc telemetry.SpanContext, comple
 		complete(err)
 		return
 	}
-	if lsn <= n.coveredLSN() {
+	if skipAckGate || lsn <= n.coveredLSN() {
 		n.ackMu.Unlock()
 		n.noteAckedHigh(lsn)
 		complete(nil)
@@ -491,9 +476,9 @@ func (n *shardNode) noteAckedHigh(lsn uint64) {
 }
 
 // ackFallback fires when a waiter has sat on the watermark longer than
-// SyncFallbackAfter: the shard ships synchronously on its behalf (the
-// fabric-v1 ack path — paused replicas are skipped there exactly as
-// they always were) and delivers the outcome, error included.
+// SyncFallbackAfter: the shard ships synchronously on its behalf
+// (paused replicas are skipped there, as in every ship round) and
+// delivers the outcome, error included.
 func (n *shardNode) ackFallback(pa *pendingAck) {
 	n.ackMu.Lock()
 	if pa.done {
@@ -518,7 +503,7 @@ func (n *shardNode) ackFallback(pa *pendingAck) {
 
 // stopPump halts the replication pump and fails every parked waiter
 // with err; later awaitReplicated calls fail immediately. Idempotent —
-// the first err wins — and a no-op when the pump never started.
+// the first err wins.
 func (n *shardNode) stopPump(err error) {
 	n.ackMu.Lock()
 	if n.pumpErr == nil {
@@ -533,7 +518,7 @@ func (n *shardNode) stopPump(err error) {
 	stopped := n.pumpStopped
 	n.pumpStopped = true
 	n.ackMu.Unlock()
-	if !stopped && n.pumpDone != nil {
+	if !stopped {
 		close(n.pumpStop)
 		<-n.pumpDone
 	}
@@ -566,17 +551,12 @@ func (n *shardNode) attachShipper(sh *shipper) error {
 }
 
 // expectation captures the durable position this primary has
-// acknowledged — what any promoted successor must reach.
+// acknowledged — what any promoted successor must reach. The
+// durable-but-unacked tail past the acked watermark carries no
+// promise, and a healthy replica may not hold it — a successor only
+// has to cover what was acked.
 func (n *shardNode) expectation() Expectation {
-	st := n.manager().Stats()
-	exp := Expectation{Stamp: st.Epoch, LSN: st.LastLSN}
-	if n.fab.opts.GroupCommit {
-		// Pipelined mode: the durable-but-unacked tail past the acked
-		// watermark carries no promise, and a healthy replica may not
-		// hold it — a successor only has to cover what was acked.
-		exp.LSN = n.ackedHigh.Load()
-	}
-	return exp
+	return Expectation{Stamp: n.manager().Stats().Epoch, LSN: n.ackedHigh.Load()}
 }
 
 // kill simulates primary failure: capture the acked position, kill the

@@ -2,11 +2,11 @@ package fabric
 
 // shipper.go drives checkpoint shipping for one primary→replica pair:
 // it owns the attested peer channel and the locally tracked inventory
-// of what the replica holds, and pushes incremental ReplicaDeltas. With
-// group commit off the gateway's Journal hook calls it synchronously,
-// so replication sits inside the ack path; with group commit on the
+// of what the replica holds, and pushes incremental ReplicaDeltas. The
 // shard's replication pump drives it off the ack path and acks gate on
-// the acked-LSN watermark instead. A paused shipper (test and
+// the acked-LSN watermark; the synchronous ship (shipAll) survives for
+// the watermark fallback, replica attachment, and checkpoints. A
+// paused shipper (test and
 // operations hook) silently skips rounds: that is exactly how a
 // replica goes stale, and what the promotion-time rollback check
 // exists to catch.

@@ -41,7 +41,7 @@ const (
 	RankFabricNode int32 = 20  // fabric shardNode.mu
 	RankShipIO     int32 = 30  // fabric shipper.ioMu
 	RankShipState  int32 = 40  // fabric shipper.mu
-	RankGroupQueue int32 = 50  // persist groupCommitter.mu
+	RankGroupQueue int32 = 50  // persist Manager.queueMu
 	RankManager    int32 = 60  // persist Manager.mu
 	RankWorldPin   int32 = 70  // world Runtime.pinMu
 	RankWorldHeap  int32 = 80  // world Runtime.heapMu

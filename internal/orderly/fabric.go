@@ -1,6 +1,7 @@
 package orderly
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 
@@ -23,13 +24,15 @@ const BreakEpochDrift = "epoch-drift"
 
 // fabricSystem drives a two-shard, one-replica-each fabric through
 // the failover alphabet: routed puts per shard, checkpoints,
-// kill-shard, promote. Its invariants are the acked ⇒ replicated
-// audit (after promotion every acked write of the failed shard must
-// be served by the promoted replica — the shipper watermark may not
-// ack writes the standby has not durably applied), the epoch
-// discipline (the table epoch bumps exactly once per promotion and
-// never otherwise), and the failover timeline (the fleet event
-// journal must order kill → promote-begin → promote-commit →
+// kill-shard, promote. Every put takes the fabric's only ack path —
+// group-committed append, then an ack gated on the replication pump's
+// watermark. Its invariants are the acked ⇒ replicated audit (the
+// promoted standby must reach the acked position, and after promotion
+// every acked write of the failed shard must be served by it — the
+// watermark may not ack writes the standby has not durably applied),
+// the epoch discipline (the table epoch bumps exactly once per
+// promotion and never otherwise), and the failover timeline (the fleet
+// event journal must order kill → promote-begin → promote-commit →
 // epoch-bump for every completed failover).
 type fabricSystem struct {
 	cfg   FabricConfig
@@ -147,6 +150,12 @@ func (s *fabricSystem) actKill() error {
 // one, and the fleet event journal must order the failover timeline.
 func (s *fabricSystem) actPromote() error {
 	if err := s.fab.Promote(0, s.expect); err != nil {
+		if errors.Is(err, fabric.ErrStaleReplica) {
+			// Nothing in this alphabet pauses replication, so a standby
+			// behind the acked position means an ack left before the
+			// replica covered its write.
+			return Violated("acked-replicated", "promotion refused: %v", err)
+		}
 		return err
 	}
 	s.alive0 = true

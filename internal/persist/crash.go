@@ -21,16 +21,9 @@ type CrashPoint int
 // protocols (see Manager.Append / Manager.Checkpoint).
 const (
 	// CrashBeforeAppend fires before any WAL bytes are written: the
-	// mutation is applied in-enclave but never journaled (the caller
-	// never acks it).
+	// group's mutations are applied in-enclave but never journaled (no
+	// member is acked).
 	CrashBeforeAppend CrashPoint = iota
-	// CrashMidAppend fires after the length prefix and half the sealed
-	// record have been written — a torn record at the log tail.
-	CrashMidAppend
-	// CrashAfterAppend fires after the record is fully durable but
-	// before the caller is told: recovery may legitimately include one
-	// more mutation than was acked.
-	CrashAfterAppend
 	// CrashBeforeCheckpointSeal fires after the flush barrier, before
 	// any checkpoint state is captured.
 	CrashBeforeCheckpointSeal
@@ -47,19 +40,18 @@ const (
 	// CrashMidTruncate fires after deleting one old segment with more
 	// cleanup remaining.
 	CrashMidTruncate
-	// CrashAfterBatchSeal fires in the group-commit path after the
-	// leader sealed the batch record but before any bytes reached
-	// storage: the whole group is lost, and since no member was acked,
-	// recovery must surface none of them.
+	// CrashAfterBatchSeal fires after the leader sealed the batch
+	// record but before any bytes reached storage: the whole group is
+	// lost, and since no member was acked, recovery must surface none
+	// of them.
 	CrashAfterBatchSeal
 	// CrashMidBatchAppend fires with the batch frame half-written — a
 	// torn batch at the log tail. Replay drops the entire torn frame,
 	// so the group vanishes at per-mutation granularity (none acked).
 	CrashMidBatchAppend
 	// CrashBeforeGroupWake fires after the batch frame is fully durable
-	// but before any parked waiter is woken: the batch analogue of
-	// CrashAfterAppend — recovery may legitimately surface every
-	// mutation of the group even though none was acked.
+	// but before any member is woken: recovery may legitimately surface
+	// every mutation of the group even though none was acked.
 	CrashBeforeGroupWake
 
 	numCrashPoints
@@ -76,8 +68,6 @@ func CrashPoints() []CrashPoint {
 
 var crashPointNames = [...]string{
 	"before-append",
-	"mid-append",
-	"after-append",
 	"before-checkpoint-seal",
 	"mid-checkpoint",
 	"after-checkpoint-write",

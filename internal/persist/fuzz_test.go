@@ -104,6 +104,43 @@ func recoverFresh(t *testing.T, e *env) (*MapState, Report, error) {
 	return kv, rep, err
 }
 
+// TestRecoverLegacySingleRecordFrames recovers a log whose tail mixes
+// batch frames with single-record frames — the format earlier releases
+// wrote for an ungrouped Append. Replay must apply both, in LSN order,
+// so a log written before group commit became the only path still
+// recovers.
+func TestRecoverLegacySingleRecordFrames(t *testing.T) {
+	e := newEnv(t)
+	m := e.open(Options{Dir: "p/"}, NewMapState("kv"))
+	if _, err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, m, "kv", "a", "1")
+	for _, k := range []string{"b", "c"} {
+		rec := Record{LSN: m.nextLSN, Op: OpPut, State: "kv", Key: k, Value: []byte(k)}
+		sealed, err := m.seal(EncodeWALRecord(rec), recordAAD(m.curSeq, rec.LSN))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := binary.BigEndian.AppendUint32(nil, uint32(8+len(sealed)))
+		frame = append(appendU64(frame, rec.LSN), sealed...)
+		if _, err := e.fs.Append(m.segmentName(m.curSeq), frame); err != nil {
+			t.Fatal(err)
+		}
+		m.nextLSN++
+	}
+	mustAppend(t, m, "kv", "d", "4")
+
+	kv, rep, err := recoverFresh(t, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ReplayedRecords != 4 {
+		t.Fatalf("replayed %d records, want 4", rep.ReplayedRecords)
+	}
+	assertKV(t, kv, map[string]string{"a": "1", "b": "b", "c": "c", "d": "4"})
+}
+
 // TestCorruptSegmentTable covers the named damage classes of the
 // segment reader: host-side truncation, bit flips, and stale/replayed
 // blobs each land on their own typed error (or, for a torn tail, on
@@ -165,7 +202,7 @@ func TestCorruptSegmentTable(t *testing.T) {
 		if err := m.openSegment(staleSeq, m.epoch-1, m.nextLSN); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.appendRecord(Record{LSN: m.nextLSN, Op: OpPut, State: "kv", Key: "evil", Value: []byte("x")}); err != nil {
+		if err := m.appendBatchRecord([]Record{{LSN: m.nextLSN, Op: OpPut, State: "kv", Key: "evil", Value: []byte("x")}}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := recoverFresh(t, e)
@@ -178,7 +215,7 @@ func TestCorruptSegmentTable(t *testing.T) {
 		e, m, _, _ := segLog(t)
 		// Re-append the last record's LSN: framing-level duplicate.
 		dup := m.nextLSN - 1
-		if err := m.appendRecord(Record{LSN: dup, Op: OpPut, State: "kv", Key: "dup", Value: []byte("x")}); err != nil {
+		if err := m.appendBatchRecord([]Record{{LSN: dup, Op: OpPut, State: "kv", Key: "dup", Value: []byte("x")}}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := recoverFresh(t, e)
@@ -189,7 +226,7 @@ func TestCorruptSegmentTable(t *testing.T) {
 
 	t.Run("LSN gap", func(t *testing.T) {
 		e, m, _, _ := segLog(t)
-		if err := m.appendRecord(Record{LSN: m.nextLSN + 5, Op: OpPut, State: "kv", Key: "skip", Value: []byte("x")}); err != nil {
+		if err := m.appendBatchRecord([]Record{{LSN: m.nextLSN + 5, Op: OpPut, State: "kv", Key: "skip", Value: []byte("x")}}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := recoverFresh(t, e)

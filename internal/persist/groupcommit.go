@@ -1,215 +1,158 @@
 package persist
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"time"
-
-	"montsalvat/internal/lockrank"
 )
 
-// Group commit (DESIGN.md §16). Every durable mutation pays three fixed
-// costs on the old path: one AES-GCM seal, one segment append, and —
-// amortised across checkpoints — one counter advance. Under concurrent
-// writers those costs serialise on m.mu, so throughput flatlines at the
-// single-record commit rate. The group committer takes them off the
-// per-mutation path: concurrent Append callers park on a commit queue,
-// one of them (the leader) drains the queue into a single batch WAL
-// record — one seal, one append — and wakes every member with its LSN.
+// Group commit (DESIGN.md §16) is the only append path. Every durable
+// mutation pays three fixed costs: one AES-GCM seal, one segment
+// append, and — amortised across checkpoints — one counter advance.
+// Under concurrent writers those costs serialise on m.mu, so the commit
+// queue takes them off the per-mutation path: concurrent Append callers
+// park on the queue, one of them (the leader) drains it into a single
+// batch WAL record — one seal, one append — and wakes every member with
+// its LSN. A lone writer is simply a leader whose batch holds one
+// record.
 //
 // Protocol:
 //
 //  1. A caller enqueues a commitReq. If no leader is active it becomes
 //     the leader; otherwise it blocks on its done channel.
 //  2. The leader holds the commit window open once per leadership term
-//     — for maxDelay, returning early when the queue fills, or, with
-//     maxDelay zero, for a single scheduler yield so runnable writers
-//     reach the queue (a cooperative window: batching without timer
-//     latency) — then drains up to maxRecords / maxBytes of the queue,
+//     for a single scheduler yield, so runnable writers reach the queue
+//     (a cooperative window: batching without timer latency), then
+//     drains up to maxGroupRecords / maxGroupBytes of the queue,
 //     assigns consecutive LSNs under m.mu, seals the batch once,
 //     appends the frame once, and distributes results.
 //  3. The leader keeps draining until the queue is empty, then resigns.
 //     Later drains of the same term never re-open the window: members
 //     already parked must not pay it twice.
 //
-// Durability semantics are unchanged: a caller's Append returns only
-// after its record is sealed and appended, and a crash anywhere in the
-// batch protocol fails every member of the group (the crash matrix
-// covers the batch-specific points).
+// A caller's Append returns only after its record is sealed and
+// appended, and a crash anywhere in the batch protocol fails every
+// member of the group (the crash matrix covers every point).
 
-// ErrNoGroupCommit reports a group-commit call on a Manager opened
-// without Options.GroupCommit.
-var ErrNoGroupCommit = errors.New("persist: group commit not enabled")
+// Commit-batch bounds. A batch never exceeds maxGroupRecords records,
+// and stops growing once its key+value payload reaches maxGroupBytes.
+const (
+	maxGroupRecords = 64
+	maxGroupBytes   = 256 << 10
+)
 
-// commitResult is what a group member gets back from its leader.
-type commitResult struct {
-	lsn uint64
-	err error
-}
-
-// commitReq is one parked mutation on the commit queue. done is nil
-// for mutations enqueued through the non-blocking GroupEnqueue path:
-// nobody is parked on them, they are acked by the GroupFlush that
-// commits them.
+// commitReq is one parked mutation on the commit queue. The committing
+// leader fills lsn and err, then closes done. done is nil for the
+// leader's own request (it commits it itself) and for mutations
+// enqueued through GroupEnqueue (nobody is parked on them; they are
+// acked by the GroupFlush that commits them).
 type commitReq struct {
 	op    Op
 	state string
 	key   string
 	value []byte
-	done  chan commitResult
+	lsn   uint64
+	err   error
+	done  chan struct{}
 }
 
-// groupCommitter is the commit queue and leader-election state.
-type groupCommitter struct {
-	m          *Manager
-	maxRecords int
-	maxBytes   int
-	maxDelay   time.Duration
-	// yield overrides the zero-delay window's scheduler yield
-	// (Options.Yield); nil means runtime.Gosched.
-	yield func()
-
-	mu      lockrank.Mutex // guards pending and leading
-	pending []*commitReq
-	leading bool
-	full    chan struct{} // rung when pending reaches maxRecords
-}
-
-func newGroupCommitter(m *Manager, maxRecords, maxBytes int, maxDelay time.Duration) *groupCommitter {
-	if maxRecords <= 0 {
-		maxRecords = 64
+// Append journals one mutation against the named state and returns
+// its LSN. The record is durable (sealed and written to the active
+// segment) when Append returns; the caller acks its client only after
+// that. Mutations must be applied to the in-enclave state by the
+// caller — the journal does not echo them back outside recovery.
+//
+// The call routes through the commit queue: it may park while a
+// leader drains the queue, and several callers' records land in one
+// sealed batch frame.
+func (m *Manager) Append(state string, op Op, key string, value []byte) (uint64, error) {
+	req := &commitReq{op: op, state: state, key: key, value: value}
+	m.queueMu.Lock()
+	m.pending = append(m.pending, req)
+	if m.leading {
+		req.done = make(chan struct{})
+		m.queueMu.Unlock()
+		<-req.done
+		return req.lsn, req.err
 	}
-	if maxBytes <= 0 {
-		maxBytes = 256 << 10
-	}
-	g := &groupCommitter{
-		m:          m,
-		maxRecords: maxRecords,
-		maxBytes:   maxBytes,
-		maxDelay:   maxDelay,
-		full:       make(chan struct{}, 1),
-	}
-	g.mu.SetRank(lockrank.RankGroupQueue, "persist.groupCommitter.mu")
-	return g
-}
-
-// append enqueues one mutation and blocks until a leader committed it
-// (or the caller itself led the commit). Returns the record's LSN.
-func (g *groupCommitter) append(state string, op Op, key string, value []byte) (uint64, error) {
-	req := &commitReq{op: op, state: state, key: key, value: value, done: make(chan commitResult, 1)}
-	g.mu.Lock()
-	g.pending = append(g.pending, req)
-	if len(g.pending) >= g.maxRecords {
-		select {
-		case g.full <- struct{}{}:
-		default:
-		}
-	}
-	if g.leading {
-		g.mu.Unlock()
-		res := <-req.done
-		return res.lsn, res.err
-	}
-	g.leading = true
-	g.mu.Unlock()
-	g.lead()
-	res := <-req.done
-	return res.lsn, res.err
+	m.leading = true
+	m.queueMu.Unlock()
+	m.lead()
+	return req.lsn, req.err
 }
 
 // lead drains the queue batch by batch until it is empty, then
-// resigns. The leader's own request is delivered through its done
-// channel like any other member's. The window is held at most once per
-// term, and only when the queue is not already full.
-func (g *groupCommitter) lead() {
-	// A full ring left over from a previous term would close this
-	// term's window spuriously; drain it. (A genuinely full queue is
-	// caught by the pending check below, not the ring.)
-	select {
-	case <-g.full:
-	default:
-	}
+// resigns. The window is held at most once per term, and only when
+// the queue is not already full.
+func (m *Manager) lead() {
 	windowed := false
 	for {
-		g.mu.Lock()
-		n := len(g.pending)
-		g.mu.Unlock()
 		if !windowed {
 			windowed = true
-			if n < g.maxRecords {
-				g.window()
+			m.queueMu.Lock()
+			full := len(m.pending) >= maxGroupRecords
+			m.queueMu.Unlock()
+			if !full {
+				m.yield()
 			}
 		}
-		g.mu.Lock()
-		batch := g.takeLocked()
+		m.queueMu.Lock()
+		batch := m.takeLocked()
 		if batch == nil {
-			g.leading = false
-			g.mu.Unlock()
+			m.leading = false
+			m.queueMu.Unlock()
 			return
 		}
-		g.mu.Unlock()
-		g.commit(batch)
+		m.queueMu.Unlock()
+		m.commit(batch)
 	}
 }
 
-// window holds the commit open so followers can join. With a positive
-// maxDelay it sleeps, returning early when the queue fills; with
-// maxDelay zero it yields the processor once — on a saturated core the
-// runnable writers enqueue during the yield, so batches form without
-// any timer latency on the ack path.
-func (g *groupCommitter) window() {
-	if g.maxDelay <= 0 {
-		if g.yield != nil {
-			g.yield()
-		} else {
-			runtime.Gosched()
-		}
+// yield holds the commit window open for one scheduler yield: on a
+// saturated core the runnable writers enqueue during it, so batches
+// form without any timer latency on the ack path. Options.Yield
+// replaces it for deterministic drivers.
+func (m *Manager) yield() {
+	if m.yieldFn != nil {
+		m.yieldFn()
 		return
 	}
-	timer := time.NewTimer(g.maxDelay)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-g.full:
-	}
+	runtime.Gosched()
 }
 
-// takeLocked slices one batch off the queue, bounded by maxRecords and
-// maxBytes (always at least one request). Caller holds g.mu.
-func (g *groupCommitter) takeLocked() []*commitReq {
-	if len(g.pending) == 0 {
+// takeLocked slices one batch off the queue, bounded by
+// maxGroupRecords and maxGroupBytes (always at least one request).
+// Caller holds m.queueMu.
+func (m *Manager) takeLocked() []*commitReq {
+	if len(m.pending) == 0 {
 		return nil
 	}
 	n, bytes := 0, 0
-	for n < len(g.pending) && n < g.maxRecords {
-		bytes += len(g.pending[n].key) + len(g.pending[n].value)
+	for n < len(m.pending) && n < maxGroupRecords {
+		bytes += len(m.pending[n].key) + len(m.pending[n].value)
 		n++
-		if bytes >= g.maxBytes {
+		if bytes >= maxGroupBytes {
 			break
 		}
 	}
-	batch := g.pending[:n:n]
-	g.pending = append([]*commitReq(nil), g.pending[n:]...)
+	batch := m.pending[:n:n]
+	m.pending = append([]*commitReq(nil), m.pending[n:]...)
 	return batch
 }
 
-// commit journals one batch under m.mu and wakes every parked member
-// (GroupEnqueue'd requests have no waiter to wake).
-func (g *groupCommitter) commit(batch []*commitReq) error {
-	m := g.m
+// commit journals one batch under m.mu and wakes every parked member.
+func (m *Manager) commit(batch []*commitReq) error {
 	m.mu.Lock()
 	lsns, err := m.commitGroupLocked(batch)
 	m.mu.Unlock()
 	for i, req := range batch {
-		if req.done == nil {
-			continue
-		}
 		if err != nil {
-			req.done <- commitResult{err: err}
-			continue
+			req.err = err
+		} else {
+			req.lsn = lsns[i]
 		}
-		req.done <- commitResult{lsn: lsns[i]}
+		if req.done != nil {
+			close(req.done)
+		}
 	}
 	return err
 }
@@ -221,23 +164,11 @@ func (g *groupCommitter) commit(batch []*commitReq) error {
 // group-commit protocol — a deterministic driver enqueues writes and
 // closes the window as two separate, synchronous actions, so every
 // interleaving of "mutation enqueued" and "window closed" is a distinct
-// schedule rather than a race inside append.
-func (m *Manager) GroupEnqueue(state string, op Op, key string, value []byte) error {
-	if m.gc == nil {
-		return ErrNoGroupCommit
-	}
-	g := m.gc
-	req := &commitReq{op: op, state: state, key: key, value: value}
-	g.mu.Lock()
-	g.pending = append(g.pending, req)
-	if len(g.pending) >= g.maxRecords {
-		select {
-		case g.full <- struct{}{}:
-		default:
-		}
-	}
-	g.mu.Unlock()
-	return nil
+// schedule rather than a race inside Append.
+func (m *Manager) GroupEnqueue(state string, op Op, key string, value []byte) {
+	m.queueMu.Lock()
+	m.pending = append(m.pending, &commitReq{op: op, state: state, key: key, value: value})
+	m.queueMu.Unlock()
 }
 
 // GroupFlush synchronously closes the commit window: it drains the
@@ -248,23 +179,19 @@ func (m *Manager) GroupEnqueue(state string, op Op, key string, value []byte) er
 // error stops the drain and fails the flush (the group's members saw
 // the same error).
 func (m *Manager) GroupFlush() (int, error) {
-	if m.gc == nil {
-		return 0, ErrNoGroupCommit
-	}
-	g := m.gc
 	total := 0
 	for {
-		g.mu.Lock()
-		if g.leading {
-			g.mu.Unlock()
+		m.queueMu.Lock()
+		if m.leading {
+			m.queueMu.Unlock()
 			return total, nil
 		}
-		batch := g.takeLocked()
-		g.mu.Unlock()
+		batch := m.takeLocked()
+		m.queueMu.Unlock()
 		if batch == nil {
 			return total, nil
 		}
-		if err := g.commit(batch); err != nil {
+		if err := m.commit(batch); err != nil {
 			return total, err
 		}
 		total += len(batch)
@@ -272,21 +199,18 @@ func (m *Manager) GroupFlush() (int, error) {
 }
 
 // GroupPending reports the number of enqueued-but-uncommitted
-// mutations on the commit queue (0 when group commit is off).
+// mutations on the commit queue.
 func (m *Manager) GroupPending() int {
-	if m.gc == nil {
-		return 0
-	}
-	m.gc.mu.Lock()
-	defer m.gc.mu.Unlock()
-	return len(m.gc.pending)
+	m.queueMu.Lock()
+	defer m.queueMu.Unlock()
+	return len(m.pending)
 }
 
 // commitGroupLocked validates, seals, and appends one batch as a single
 // WAL record. Caller holds m.mu. On error nothing was acked: the whole
 // group fails together (for CrashBeforeGroupWake the frame is durable —
 // recovery may surface the group even though every member saw an
-// error, exactly like CrashAfterAppend on the single-record path).
+// error).
 func (m *Manager) commitGroupLocked(batch []*commitReq) ([]uint64, error) {
 	if !m.recovered {
 		return nil, ErrNotRecovered

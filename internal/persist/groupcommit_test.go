@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,10 +18,18 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	const writers, perWriter = 8, 40
 	e := newEnv(t)
 	kv := NewMapState("kv")
-	m := e.open(Options{
-		Dir:           "p/",
-		GroupCommit:   true,
-		GroupMaxDelay: 2 * time.Millisecond,
+	// The yield seam holds each leader's window open until a follower
+	// queues (bounded at 2ms), so batching is guaranteed rather than a
+	// matter of scheduling luck.
+	var m *Manager
+	m = e.open(Options{
+		Dir: "p/",
+		Yield: func() {
+			deadline := time.Now().Add(2 * time.Millisecond)
+			for m.GroupPending() < 2 && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+		},
 	}, kv)
 	if _, err := m.Recover(); err != nil {
 		t.Fatal(err)
@@ -92,7 +101,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 
 	// Recovery replays the batch frames (no checkpoint covered them).
 	kv2 := NewMapState("kv")
-	m2 := e.open(Options{Dir: "p/", GroupCommit: true}, kv2)
+	m2 := e.open(Options{Dir: "p/"}, kv2)
 	if _, err := m2.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 func TestGroupCommitAutoCheckpoint(t *testing.T) {
 	e := newEnv(t)
 	kv := NewMapState("kv")
-	m := e.open(Options{Dir: "p/", GroupCommit: true, CheckpointEvery: 4}, kv)
+	m := e.open(Options{Dir: "p/", CheckpointEvery: 4}, kv)
 	if _, err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +139,7 @@ func TestGroupCommitAutoCheckpoint(t *testing.T) {
 // group member targets the same state).
 func TestGroupCommitUnregisteredState(t *testing.T) {
 	e := newEnv(t)
-	m := e.open(Options{GroupCommit: true}, NewMapState("kv"))
+	m := e.open(Options{}, NewMapState("kv"))
 	if _, err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,10 @@ import (
 // different positions. Each record is sealed with AAD binding (seq,
 // lsn); the LSN also rides in plaintext framing so replay can skip
 // records below the checkpoint watermark without paying an unseal.
-// A frame's sealed payload is either one record (recordVersion) or a
-// group-commit batch of consecutive records (batchRecordVersion); for
-// a batch, the framing LSN and AAD bind the first LSN, and the
+// New frames always carry a group-commit batch of consecutive records
+// (batchRecordVersion); replay still accepts single-record frames
+// (recordVersion) written by earlier releases. For a batch, the
+// framing LSN and AAD bind the first LSN, and the
 // watermark skip stays sound because checkpoints and batch appends
 // serialise on the manager mutex — the watermark always lands on a
 // batch boundary.
@@ -154,35 +155,8 @@ func (m *Manager) openSegment(seq, epoch, baseLSN uint64) error {
 	return nil
 }
 
-// appendRecord seals and appends one record to the current segment,
-// honouring the mid-append crash point by writing a torn frame.
-func (m *Manager) appendRecord(rec Record) error {
-	sealed, err := m.seal(EncodeWALRecord(rec), recordAAD(m.curSeq, rec.LSN))
-	if err != nil {
-		return err
-	}
-	if !fitsLen(len(sealed)) {
-		return fmt.Errorf("persist: record too large: %d bytes", len(sealed))
-	}
-	frame := make([]byte, 0, recFrameLen+len(sealed))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(8+len(sealed)))
-	frame = appendU64(frame, rec.LSN)
-	frame = append(frame, sealed...)
-	if err := m.injector.hit(CrashMidAppend); err != nil {
-		// Simulate the torn write the crash would leave behind: the
-		// frame is cut mid-record before the "process" dies.
-		_, _ = m.fs.Append(m.segmentName(m.curSeq), frame[:recFrameLen+len(sealed)/2])
-		return err
-	}
-	if _, err := m.fs.Append(m.segmentName(m.curSeq), frame); err != nil {
-		return fmt.Errorf("persist: append record: %w", err)
-	}
-	m.curSize += int64(len(frame))
-	return nil
-}
-
 // appendBatchRecord seals a group of consecutive records into one
-// frame and appends it (the group-commit fast path). The frame's
+// frame and appends it — the only WAL writer. The frame's
 // plaintext LSN is the batch's first LSN; the AAD binds (seq, first
 // LSN) so the host can neither move nor reorder the batch. Honours the
 // batch crash points.
@@ -218,7 +192,7 @@ func (m *Manager) appendBatchRecord(recs []Record) error {
 }
 
 // decodeFrameRecords parses a frame's unsealed payload into its
-// records: a batch frame (group commit) yields several, a plain frame
+// records: a batch frame yields several, a legacy single-record frame
 // yields one. The version byte discriminates.
 func decodeFrameRecords(plain []byte) ([]Record, error) {
 	if len(plain) > 0 && plain[0] == batchRecordVersion {

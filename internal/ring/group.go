@@ -57,7 +57,9 @@ type Stats struct {
 	// Submits counts published submission entries.
 	Submits uint64
 	// Doorbells counts submissions that found the consumer asleep and
-	// paid the futex-wake cost (the doorbell rate is Doorbells/Submits).
+	// rang its doorbell — a wall-side count that depends on scheduling
+	// (the doorbell rate is Doorbells/Submits). The virtual ledger
+	// charges doorbells by call sequence instead (see Ring.publish).
 	Doorbells uint64
 	// Stalls counts slot-full producer stalls (ring backpressure).
 	Stalls uint64
@@ -190,7 +192,7 @@ func (g *Group) TryCall(id, need int, sp *telemetry.Span, fill func(slot []byte)
 	s.id = id
 	s.sp = sp
 	s.reqN = len(r.seal(s, plain, nonceReq))
-	r.publish(idx)
+	r.publish(idx, false)
 	if err := r.awaitComp(idx); err != nil {
 		return err
 	}
@@ -250,7 +252,7 @@ func (g *Group) TryBatch(entries []BatchEntry) error {
 		s.id = e.ID
 		s.sp = e.Sp
 		s.reqN = len(r.seal(s, plain, nonceReq))
-		r.publish(idx)
+		r.publish(idx, i == 0)
 	}
 	if tail := r.tail.Load(); tail > first {
 		if err := r.awaitComp(tail - 1); err != nil {

@@ -24,11 +24,13 @@
 // number of polls, then publishes "asleep", re-checks the tail (closing
 // the race where a submission lands between the last poll and the
 // wait) and blocks on the doorbell channel. The producer rings the
-// doorbell — and pays the futex-wake cost — only when it observes the
-// consumer asleep; while the consumer polls, publishing costs only a
-// cross-core cache-line hand-off. The producer's completion wait is the
-// symmetric protocol. This folds the adaptive-switchless sleep logic
-// into ring polling. Adaptive batching falls out of the shape: every
+// doorbell only when it observes the consumer asleep; while the
+// consumer polls, publishing is only a cross-core cache-line hand-off.
+// The producer's completion wait is the symmetric protocol. The
+// virtual ledger charges these hand-offs by a rule that depends on the
+// call sequence alone (see publish), so it is identical on any core
+// count. This folds the adaptive-switchless sleep logic into ring
+// polling. Adaptive batching falls out of the shape: every
 // submission published while the consumer was busy or waking is
 // consumed in the same wakeup.
 package ring
@@ -243,24 +245,33 @@ func (r *Ring) reserve() (*slot, uint64, error) {
 }
 
 // publish makes the filled slot visible to the consumer and rings the
-// doorbell only when the consumer is asleep, charging the matching
-// hand-off cost. Caller holds prodMu.
-func (r *Ring) publish(idx uint64) {
+// doorbell when the consumer is asleep. Caller holds prodMu.
+//
+// The virtual ledger does not follow the wall-side doorbell, whose
+// firing depends on scheduling; it charges by call sequence instead. A
+// synchronous call (TryCall) hands off hot — its producer spins on the
+// completion and the next call follows within the consumer's poll
+// budget — so it pays the polled hand-off. The first entry of a batch
+// (TryBatch, first set) pays the doorbell: void calls accumulate in the
+// transition queue while the consumer idles, and the rest of the batch
+// rides the same wakeup at the polled rate. stats.doorbells counts the
+// doorbells actually rung.
+func (r *Ring) publish(idx uint64, first bool) {
 	r.tail.Store(idx + 1)
 	r.stats.submits.Add(1)
+	if r.clock != nil {
+		if first {
+			r.clock.Charge(simcfg.RingDoorbellCycles)
+		} else {
+			r.clock.Charge(simcfg.RingSubmitCycles)
+		}
+	}
 	if r.csleep.Load() {
 		select {
 		case r.bell <- struct{}{}:
 		default:
 		}
 		r.stats.doorbells.Add(1)
-		if r.clock != nil {
-			r.clock.Charge(simcfg.RingDoorbellCycles)
-		}
-		return
-	}
-	if r.clock != nil {
-		r.clock.Charge(simcfg.RingSubmitCycles)
 	}
 }
 
@@ -391,16 +402,17 @@ func (r *Ring) consume(s *slot, idx uint64) {
 	}
 	r.stats.consumed.Add(1)
 	r.comp.Store(idx + 1)
+	// A producer waits on its completions from the moment it submits,
+	// so the ledger charges every completion the polled hand-off; the
+	// wall-side wake of a producer that went to sleep is not charged.
+	if r.clock != nil {
+		r.clock.Charge(simcfg.RingSubmitCycles)
+	}
 	if r.psleep.Load() {
 		select {
 		case r.pbell <- struct{}{}:
 		default:
 		}
-		if r.clock != nil {
-			r.clock.Charge(simcfg.RingDoorbellCycles)
-		}
-	} else if r.clock != nil {
-		r.clock.Charge(simcfg.RingSubmitCycles)
 	}
 }
 

@@ -12,12 +12,18 @@ import (
 // rejected with ErrDeadline, and a drain signal rejects all waiters with
 // ErrDraining — overload degrades into typed errors, never into an
 // unbounded queue.
+//
+// One counter, occupied, bounds executing plus queued requests: a
+// request holds its count from acquire until release, so a waiter
+// handed a slot never counts twice while it moves from the queue to
+// execution, and a slot released before the reply is already free
+// when the client sends its next request.
 type admission struct {
-	tokens     chan struct{}
-	waiters    atomic.Int64
-	queueDepth int64
-	inFlight   atomic.Int64
-	peak       atomic.Int64
+	tokens   chan struct{}
+	capacity int64 // maxInFlight + queueDepth
+	occupied atomic.Int64
+	inFlight atomic.Int64
+	peak     atomic.Int64
 }
 
 func newAdmission(maxInFlight, queueDepth int) *admission {
@@ -28,8 +34,8 @@ func newAdmission(maxInFlight, queueDepth int) *admission {
 		queueDepth = 0
 	}
 	a := &admission{
-		tokens:     make(chan struct{}, maxInFlight),
-		queueDepth: int64(queueDepth),
+		tokens:   make(chan struct{}, maxInFlight),
+		capacity: int64(maxInFlight + queueDepth),
 	}
 	for i := 0; i < maxInFlight; i++ {
 		a.tokens <- struct{}{}
@@ -40,18 +46,17 @@ func newAdmission(maxInFlight, queueDepth int) *admission {
 // acquire takes an execution slot. deadline zero means no deadline;
 // drain, when closed, aborts waiting with ErrDraining.
 func (a *admission) acquire(deadline time.Time, drain <-chan struct{}) error {
+	if a.occupied.Add(1) > a.capacity {
+		a.occupied.Add(-1)
+		return ErrOverloaded
+	}
 	select {
 	case <-a.tokens:
 		a.admitted()
 		return nil
 	default:
 	}
-	// Slow path: queue for a slot, bounded by queueDepth.
-	if a.waiters.Add(1) > a.queueDepth {
-		a.waiters.Add(-1)
-		return ErrOverloaded
-	}
-	defer a.waiters.Add(-1)
+	// Slow path: queue for a slot.
 	var timeout <-chan time.Time
 	if !deadline.IsZero() {
 		t := time.NewTimer(time.Until(deadline))
@@ -63,8 +68,10 @@ func (a *admission) acquire(deadline time.Time, drain <-chan struct{}) error {
 		a.admitted()
 		return nil
 	case <-timeout:
+		a.occupied.Add(-1)
 		return ErrDeadline
 	case <-drain:
+		a.occupied.Add(-1)
 		return ErrDraining
 	}
 }
@@ -82,6 +89,7 @@ func (a *admission) admitted() {
 // release returns an execution slot.
 func (a *admission) release() {
 	a.inFlight.Add(-1)
+	a.occupied.Add(-1)
 	a.tokens <- struct{}{}
 }
 

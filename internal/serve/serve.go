@@ -60,24 +60,20 @@ type Options struct {
 	// rejects the request with its mapped status.
 	ShardCheck func(op, class, method string, args []wire.Value) error
 	// Journal, when set, receives every successfully executed
-	// state-changing request (new/call) after it ran and before the
-	// client sees the OK — the hook the durability layer uses to put
-	// mutations in the write-ahead log. A journal error withholds the
-	// ack: the client gets an application error and must treat the
-	// mutation as not durable (it may still surface after recovery if
-	// the append itself landed — the standard durable-but-unacked
-	// window).
-	Journal func(m Mutation) error
-	// JournalAsync is the pipelined variant of Journal: the hook takes
-	// ownership of the request's completion and calls complete exactly
-	// once when the mutation is durable (nil) or failed (non-nil), at
-	// which point the gateway sends the ack — or the error — and
-	// releases the request's admission slot. The executing worker is
-	// freed as soon as the hook returns, so a slow durability path
-	// (group commit, replication watermarks) parks only the request,
-	// not a pool worker. complete may be called from any goroutine.
-	// When both hooks are set, JournalAsync wins.
-	JournalAsync func(m Mutation, complete func(error))
+	// state-changing request (new/call) after it ran — the hook the
+	// durability layer uses to put mutations in the write-ahead log. The
+	// hook owns the request's completion: it calls complete exactly once
+	// when the mutation is durable (nil) or failed (non-nil), and only
+	// then does the gateway send the ack — or the error — and release
+	// the request's admission slot. A journal error withholds the ack:
+	// the client gets an application error and must treat the mutation
+	// as not durable (it may still surface after recovery if the append
+	// itself landed — the standard durable-but-unacked window). The
+	// executing worker is freed as soon as the hook returns, so a slow
+	// durability path (group commit, replication watermarks) parks only
+	// the request, not a pool worker; complete may be called from any
+	// goroutine, or inline by a synchronous journal.
+	Journal func(m Mutation, complete func(error))
 	// Logf, when set, receives diagnostic messages (e.g. teardown
 	// release failures). Defaults to discarding them.
 	Logf func(format string, args ...any)
@@ -195,6 +191,7 @@ type Server struct {
 	mu         sync.Mutex
 	ln         net.Listener
 	sessions   map[int64]*session
+	reserved   int // handshakes holding a MaxSessions slot, not yet registered
 	sessionSeq int64
 
 	connWG sync.WaitGroup // one per accepted connection
@@ -456,7 +453,6 @@ func (srv *Server) checkClass(name string) error {
 // the connection.
 func (srv *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
-	start := time.Now()
 	s, err := srv.handshake(conn)
 	if err != nil {
 		if !errors.Is(err, ErrDraining) && !errors.Is(err, ErrRecovering) && !errors.Is(err, ErrSessionLimit) {
@@ -465,7 +461,6 @@ func (srv *Server) handleConn(conn net.Conn) {
 		}
 		return
 	}
-	srv.hHandshake.ObserveDuration(time.Since(start))
 	defer srv.dropSession(s)
 	s.loop()
 }
@@ -483,7 +478,8 @@ func (srv *Server) handleConn(conn net.Conn) {
 // shared secret and that attested transcript, so a verified handshake
 // yields a channel that terminates inside the quoted enclave identity.
 func (srv *Server) handshake(conn net.Conn) (*session, error) {
-	deadline := time.Now().Add(srv.opts.HandshakeTimeout)
+	start := time.Now()
+	deadline := start.Add(srv.opts.HandshakeTimeout)
 	_ = conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
 
@@ -512,16 +508,27 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 		_, _ = writeFrame(conn, encodeReject(statusRecovering))
 		return nil, ErrRecovering
 	}
+	// Reserve the session slot before quoting, so concurrent handshakes
+	// can never attest more sessions than MaxSessions admits.
 	srv.mu.Lock()
-	if len(srv.sessions) >= srv.opts.MaxSessions {
+	if len(srv.sessions)+srv.reserved >= srv.opts.MaxSessions {
 		srv.mu.Unlock()
 		srv.rejSession.Add(1)
 		_, _ = writeFrame(conn, encodeReject(statusSession))
 		return nil, ErrSessionLimit
 	}
+	srv.reserved++
 	srv.sessionSeq++
 	sid := srv.sessionSeq
 	srv.mu.Unlock()
+	registered := false
+	defer func() {
+		if !registered {
+			srv.mu.Lock()
+			srv.reserved--
+			srv.mu.Unlock()
+		}
+	}()
 
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
@@ -561,10 +568,8 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 	if err := decodeAck(plain); err != nil {
 		return nil, err
 	}
-	if _, err := writeFrame(conn, ciph.seal(encodeReady(sid))); err != nil {
-		return nil, fmt.Errorf("%w: ready: %v", ErrHandshake, err)
-	}
-
+	// Register before ready: once the client holds its session id, the
+	// server already counts and serves the session.
 	s := newSession(srv, sid, conn, rd, ciph)
 	srv.mu.Lock()
 	if srv.draining.Load() {
@@ -578,9 +583,18 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 		srv.mu.Unlock()
 		return nil, ErrRecovering
 	}
+	srv.reserved--
+	registered = true
 	srv.sessions[sid] = s
 	srv.mu.Unlock()
 	srv.sessionsTotal.Add(1)
+	srv.hHandshake.ObserveDuration(time.Since(start))
+	if _, err := writeFrame(conn, ciph.seal(encodeReady(sid))); err != nil {
+		srv.mu.Lock()
+		delete(srv.sessions, sid)
+		srv.mu.Unlock()
+		return nil, fmt.Errorf("%w: ready: %v", ErrHandshake, err)
+	}
 	srv.events.Emit(telemetry.EventSessionOpen, srv.opts.Node, 0, "session %d from %v", sid, conn.RemoteAddr())
 	return s, nil
 }

@@ -149,11 +149,13 @@ func (s *session) dispatch(req request) {
 		sp := s.srv.tracer.StartRemote(req.trace, "serve "+req.op)
 		sp.SetNode(s.srv.opts.Node)
 		sp.SetQueueWait(time.Since(start))
-		// done finishes the request: span, reply, and the admission
-		// epilogue. On the synchronous path the worker calls it inline;
-		// on the async-journal path the durability layer calls it once
-		// the mutation is durable — possibly long after this worker
-		// moved on. The Once guards a buggy double-completion.
+		// done finishes the request: span, admission epilogue, reply.
+		// Read-only requests finish inline; a journaled mutation
+		// finishes when the Journal hook completes it — possibly long
+		// after this worker moved on. The Once guards a buggy
+		// double-completion. The slot is released and the latency
+		// observed before the reply is written, so nothing a client can
+		// see runs ahead of the server state that backs it.
 		var once sync.Once
 		done := func(result wire.Value, err error) {
 			once.Do(func() {
@@ -164,28 +166,35 @@ func (s *session) dispatch(req request) {
 						"%s -> owner %d epoch %d", req.op, ws.Owner, ws.Epoch)
 				}
 				sp.Finish(err)
+				resp := response{status: statusOK, result: result}
 				if err != nil {
 					s.countReject(err)
-					status := errStatus(err)
-					if status == statusAppError {
+					resp = response{status: errStatus(err), message: errMessage(err)}
+					if resp.status == statusAppError {
 						s.srv.appErrors.Add(1)
 					}
-					s.reply(req.id, response{status: status, message: errMessage(err)})
-				} else {
-					s.reply(req.id, response{status: statusOK, result: result})
 				}
 				s.srv.hRequest.ObserveDuration(time.Since(start))
 				s.srv.adm.release()
 				s.inflight.Add(-1)
+				s.reply(req.id, resp)
 				s.srv.reqWG.Done()
 				s.wg.Done()
 			})
 		}
-		result, err, async := s.execute(req, deadline, sp, done)
-		if async {
-			return // the async journal hook owns completion
+		out, m, err := s.execute(req, deadline, sp)
+		journal := s.srv.opts.Journal
+		if err != nil || m == nil || journal == nil {
+			done(out, err)
+			return
 		}
-		done(result, err)
+		journal(*m, func(jerr error) {
+			if jerr != nil {
+				done(wire.Value{}, &AppError{Msg: "journal: " + jerr.Error()})
+				return
+			}
+			done(out, nil)
+		})
 	})
 }
 
@@ -237,39 +246,38 @@ func (s *session) reply(id int64, r response) {
 // serve span: execution frames carry it so proxy-call spans nest under
 // it, and journaled mutations inherit its context.
 //
-// async reports that the request's completion was handed to the
-// JournalAsync hook (which will call done); the returned value/error
-// are then meaningless and the caller must not complete the request.
-func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span, done func(wire.Value, error)) (_ wire.Value, _ error, async bool) {
+// A successful state-changing request also returns the Mutation the
+// caller hands to the Journal hook before completing it.
+func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span) (wire.Value, *Mutation, error) {
 	if time.Now().After(deadline) {
-		return wire.Value{}, ErrDeadline, false
+		return wire.Value{}, nil, ErrDeadline
 	}
 	switch req.op {
 	case opPing:
-		return wire.Null(), nil, false
+		return wire.Null(), nil, nil
 
 	case opRelease:
 		e, ok := s.ns.Remove(req.handle)
 		if !ok {
-			return wire.Value{}, ErrForeignRef, false
+			return wire.Value{}, nil, ErrForeignRef
 		}
 		// Unpinning makes the object collectable; the mirror is freed by
 		// the regular GC-release path (next sweep), not synchronously.
 		if err := s.srv.w.Untrusted().Unpin(wire.Ref(e.Class, e.Hash)); err != nil {
-			return wire.Value{}, &AppError{Msg: err.Error()}, false
+			return wire.Value{}, nil, &AppError{Msg: err.Error()}
 		}
-		return wire.Null(), nil, false
+		return wire.Null(), nil, nil
 
 	case opNew:
 		if err := s.srv.checkClass(req.class); err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, nil, err
 		}
 		if err := s.shardCheck(opNew, req.class, "", req.args); err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, nil, err
 		}
 		args, err := s.importValues(req.args)
 		if err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, nil, err
 		}
 		var out wire.Value
 		err = s.srv.w.ExecSpan(false, sp, func(env classmodel.Env) error {
@@ -281,21 +289,14 @@ func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span, d
 			return err
 		})
 		if err != nil {
-			return wire.Value{}, appErr(err), false
+			return wire.Value{}, nil, appErr(err)
 		}
-		m := Mutation{Op: opNew, Class: req.class, Args: args, Trace: sp.Context()}
-		if s.journalAsync(m, out, done) {
-			return wire.Value{}, nil, true
-		}
-		if err := s.journal(m); err != nil {
-			return wire.Value{}, err, false
-		}
-		return out, nil, false
+		return out, &Mutation{Op: opNew, Class: req.class, Args: args, Trace: sp.Context()}, nil
 
 	case opBind:
 		provider := s.srv.lookupExport(req.class)
 		if provider == nil {
-			return wire.Value{}, fmt.Errorf("%w: no export named %q", ErrBadRequest, req.class), false
+			return wire.Value{}, nil, fmt.Errorf("%w: no export named %q", ErrBadRequest, req.class)
 		}
 		var out wire.Value
 		err := s.srv.w.ExecSpan(false, sp, func(env classmodel.Env) error {
@@ -307,21 +308,21 @@ func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span, d
 			return err
 		})
 		if err != nil {
-			return wire.Value{}, appErr(err), false
+			return wire.Value{}, nil, appErr(err)
 		}
-		return out, nil, false
+		return out, nil, nil
 
 	case opCall:
 		e, ok := s.ns.Lookup(req.handle)
 		if !ok {
-			return wire.Value{}, ErrForeignRef, false
+			return wire.Value{}, nil, ErrForeignRef
 		}
 		if err := s.shardCheck(opCall, e.Class, req.method, req.args); err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, nil, err
 		}
 		args, err := s.importValues(req.args)
 		if err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, nil, err
 		}
 		var out wire.Value
 		err = s.srv.w.ExecSpan(false, sp, func(env classmodel.Env) error {
@@ -333,18 +334,11 @@ func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span, d
 			return err
 		})
 		if err != nil {
-			return wire.Value{}, appErr(err), false
+			return wire.Value{}, nil, appErr(err)
 		}
-		m := Mutation{Op: opCall, Class: e.Class, Method: req.method, Args: args, Trace: sp.Context()}
-		if s.journalAsync(m, out, done) {
-			return wire.Value{}, nil, true
-		}
-		if err := s.journal(m); err != nil {
-			return wire.Value{}, err, false
-		}
-		return out, nil, false
+		return out, &Mutation{Op: opCall, Class: e.Class, Method: req.method, Args: args, Trace: sp.Context()}, nil
 	}
-	return wire.Value{}, ErrBadRequest, false
+	return wire.Value{}, nil, ErrBadRequest
 }
 
 // shardCheck consults the partition predicate before a state-touching
@@ -357,41 +351,6 @@ func (s *session) shardCheck(op, class, method string, args []wire.Value) error 
 		return nil
 	}
 	return check(op, class, method, args)
-}
-
-// journalAsync hands a successfully executed mutation to the pipelined
-// durability hook, transferring completion ownership: the hook calls
-// complete when the mutation is durable, and complete finishes the
-// request with out (or withholds the OK on a journal error — the
-// mutation ran but is not durable, so the client must not be told it
-// succeeded). Returns false when no async hook is configured.
-func (s *session) journalAsync(m Mutation, out wire.Value, done func(wire.Value, error)) bool {
-	ja := s.srv.opts.JournalAsync
-	if ja == nil {
-		return false
-	}
-	ja(m, func(jerr error) {
-		if jerr != nil {
-			done(wire.Value{}, &AppError{Msg: "journal: " + jerr.Error()})
-			return
-		}
-		done(out, nil)
-	})
-	return true
-}
-
-// journal hands a successfully executed mutation to the durability
-// hook. A failure withholds the OK: the mutation ran but is not
-// durable, so the client must not be told it succeeded.
-func (s *session) journal(m Mutation) error {
-	j := s.srv.opts.Journal
-	if j == nil {
-		return nil
-	}
-	if err := j(m); err != nil {
-		return &AppError{Msg: "journal: " + err.Error()}
-	}
-	return nil
 }
 
 // appErr passes gateway sentinels through and wraps anything else as an

@@ -125,10 +125,10 @@ const (
 	// for a polled shared-memory call; the index bump alone is cheaper).
 	RingSubmitCycles = 200
 
-	// RingDoorbellCycles is charged instead of RingSubmitCycles when the
-	// resident consumer has gone to sleep and the producer must ring the
-	// doorbell — a futex-style wake, the same scale as the switchless
-	// mailbox hand-off.
+	// RingDoorbellCycles is charged instead of RingSubmitCycles for the
+	// first entry of a batch, which finds the resident consumer asleep
+	// and must ring the doorbell — a futex-style wake, the same scale as
+	// the switchless mailbox hand-off.
 	RingDoorbellCycles = 1200
 
 	// RingCryptoBytesPerCycle is the streaming AES-GCM rate of the
