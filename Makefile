@@ -10,16 +10,18 @@ build:
 	$(GO) build ./...
 
 # Tier-1: full suite, vet, and a race pass over the boundary-crossing
-# packages (worker-pool mailboxes, batching queues, and the telemetry
-# instruments they all publish into are concurrent). The gateway and
-# the cycle-ledger equality test also run on one and two cores: their
-# reply ordering and ledger must not depend on scheduling.
+# packages (the dispatcher, batching queues, resident ring consumers,
+# and the telemetry instruments they all publish into are concurrent).
+# The gateway and the cycle-ledger equality tests also run on one and
+# two cores: their reply ordering and ledgers must not depend on
+# scheduling.
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
-	$(GO) test -race ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
+	$(GO) test -race ./internal/boundary/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
 	$(GO) test -race -cpu 1,2 ./internal/serve/...
 	$(GO) test -race -cpu 1,2 -run TestTelemetryCycleNeutral .
+	$(GO) test -race -cpu 1,2 -run TestDispatchLedgerGolden ./internal/bench/
 
 race:
 	$(GO) test -race ./...
@@ -32,7 +34,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
 
 # Short-mode dispatch-layer assertions: transition counts and the >=30%
-# cycle-reduction bar for batched+switchless routing.
+# cycle-reduction bar for batched+switchless dispatch.
 bench-smoke:
 	$(GO) test -run TestDispatchSmoke -v ./internal/bench/
 

@@ -88,7 +88,7 @@ func run(args []string, out io.Writer) error {
 	)
 	fs.IntVar(&cfg.maxInflight, "max-inflight", 32, "server: bound on concurrently executing requests")
 	fs.IntVar(&cfg.maxSessions, "max-sessions", 64, "server: bound on concurrent sessions")
-	fs.BoolVar(&cfg.switchless, "switchless", true, "server: switchless boundary routing")
+	fs.BoolVar(&cfg.switchless, "switchless", true, "server: charge boundary transitions at the switchless rate")
 	fs.BoolVar(&cfg.batching, "batching", true, "server: transition batching")
 	fs.StringVar(&cfg.metricsAddr, "metrics-addr", "", "server: telemetry HTTP endpoint address (empty disables)")
 	fs.Float64Var(&cfg.traceSample, "trace-sample", 0.01, "server: fraction of boundary-call roots traced (0..1)")

@@ -13,7 +13,7 @@ import (
 
 // AblationSwitchless measures the future-work switchless-call mode (§7,
 // citing [51]): the Fig. 4a RMI workload with regular transitions versus
-// worker-thread mailbox transitions.
+// transitions charged at the switchless rate.
 func AblationSwitchless(opts Options) (*Table, error) {
 	invocations := opts.scale(20_000, 500)
 	t := &Table{
@@ -79,8 +79,8 @@ func AblationSwitchless(opts Options) (*Table, error) {
 }
 
 // dispatchModes are the boundary dispatch configurations the ablation
-// and the smoke test sweep: full transitions, switchless worker pools,
-// transition batching, and both combined.
+// and the smoke test sweep: full transitions, switchless-rate
+// transitions, transition batching, and both combined.
 var dispatchModes = []struct {
 	Name       string
 	Switchless bool
@@ -144,8 +144,8 @@ func runDispatchMode(opts Options, switchless, batching bool, invocations int) (
 
 // AblationDispatch measures the boundary dispatch layer (DESIGN.md
 // "Boundary dispatch"): the Fig. 4a proxy-call workload under full
-// transitions, switchless worker pools, transition batching, and both
-// combined. Batching coalesces the void `set` calls into multi-call
+// transitions, switchless-rate transitions, transition batching, and
+// both combined. Batching coalesces the void `set` calls into multi-call
 // frames, so the per-call transition tax is paid once per watermark
 // instead of once per call.
 func AblationDispatch(opts Options) (*Table, error) {

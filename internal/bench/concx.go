@@ -16,8 +16,9 @@ import (
 var concGoroutines = []int{1, 2, 4, 8, 16}
 
 // concurrentCfg is the platform configuration of the concurrency
-// experiments: plain transitions (no switchless pools capping
-// parallelism, no batching reordering the call stream) and — when costs
+// experiments: transitions at the full ecall/ocall rate (Switchless
+// would change what each crossing charges, not how crossings run in
+// parallel), no batching reordering the call stream, and — when costs
 // are charged as real time — timer-wait charging, so the stall-modelled
 // transition costs of concurrent crossings overlap and the measurement
 // exposes lock scaling rather than core count.

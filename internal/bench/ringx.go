@@ -28,8 +28,9 @@ func ringPayloads(opts Options) []int {
 }
 
 // ringSweepCfg returns the two platform configurations compared by the
-// sweep: the tuned frame path (switchless pools, no rings) and the ring
-// data plane (slots sized to hold the largest payload in the sweep).
+// sweep: the tuned frame path (switchless-rate transitions, no rings)
+// and the ring data plane (slots sized to hold the largest payload in
+// the sweep).
 func ringSweepCfg(opts Options) (frame, rings simcfg.Config) {
 	frame = opts.Config()
 	frame.Switchless = true

@@ -20,7 +20,7 @@ func TestRingSweepShape(t *testing.T) {
 	for i := range frame.Values {
 		// Small payloads: within noise means the ring path must at
 		// least not regress (its hand-off is cheaper than a switchless
-		// mailbox post, so in the cost model it never does).
+		// transition, so in the cost model it never does).
 		if ring.Values[i] > frame.Values[i]*1.05 {
 			t.Errorf("col %d (%s B): ring %.0f cycles/op > frame %.0f",
 				i, tab.Columns[i], ring.Values[i], frame.Values[i])

@@ -6,13 +6,12 @@
 // The layer implements the two transition-avoidance levers of the
 // paper's §7 future work:
 //
-//   - switchless routing (Tian et al., SysTEX'18): when resident worker
-//     pools are attached, short calls are posted to a mailbox instead of
-//     paying a full context switch. Routing is adaptive — a per-routine
-//     exponentially-weighted moving average of body cycles keeps long
-//     calls (GC helper, bulk I/O) on regular transitions, where they
-//     cannot starve the mailbox; saturated pools fall back to a full
-//     transition, which also keeps nested relay chains deadlock-free.
+//   - switchless transitions (Tian et al., SysTEX'18): a charge policy,
+//     not a separate mechanism. Under simcfg.Config.Switchless the
+//     transport charges every transition SwitchlessCallCycles instead
+//     of a full context switch; the dispatcher labels those calls
+//     "switchless" and counts them apart from full transitions. The
+//     only resident workers are the ring consumers (ringroute.go).
 //   - transition batching (Queue): result-independent relay calls are
 //     coalesced and flushed in one transition; see queue.go.
 //
@@ -22,15 +21,11 @@
 package boundary
 
 import (
-	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"montsalvat/internal/cycles"
 	"montsalvat/internal/ring"
-	"montsalvat/internal/sgx"
-	"montsalvat/internal/simcfg"
 	"montsalvat/internal/telemetry"
 )
 
@@ -41,44 +36,27 @@ type Transport interface {
 	Ocall(id int, fn func() error) error
 }
 
-// Pool is a switchless worker mailbox for one transition direction.
-// *sgx.SwitchlessPool (ecalls) and *sgx.HostPool (ocalls) satisfy it.
-type Pool interface {
-	// TryCall runs fn via a resident worker, or returns
-	// sgx.ErrPoolBusy/sgx.ErrPoolStopped without running it.
-	TryCall(id int, fn func() error) error
-	Stop()
-}
-
-// Stats counts how the dispatcher routed calls.
+// Stats counts how the dispatcher routed calls. FullCalls +
+// SwitchlessCalls is the number of transitions the dispatcher made.
 type Stats struct {
-	// FullCalls crossed with a regular transition (including routings
-	// rejected by the adaptive policy and pool fallbacks).
+	// FullCalls crossed with a transition charged at the full
+	// ecall/ocall rate.
 	FullCalls uint64
-	// SwitchlessCalls went through a resident-worker mailbox.
+	// SwitchlessCalls crossed with a transition charged at the
+	// switchless rate (simcfg.Config.Switchless).
 	SwitchlessCalls uint64
-	// FallbackCalls are the subset of FullCalls that wanted a
-	// switchless route but found the pool saturated or stopped.
-	FallbackCalls uint64
 }
 
-// Dispatcher routes cross-runtime calls over a Transport, optionally
-// diverting short calls through switchless pools.
+// Dispatcher routes cross-runtime calls over a Transport, and over the
+// zero-copy ring groups when they are attached.
 type Dispatcher struct {
 	transport  Transport
 	clock      *cycles.Clock
-	ecallPool  Pool
-	ocallPool  Pool
+	switchless bool
 	ecallRings *ring.Group
 	ocallRings *ring.Group
-	cutoff     float64
 
-	mu  sync.Mutex
-	avg map[int]float64 // routine id -> EWMA of body cycles
-
-	full         atomic.Uint64
-	switchless   atomic.Uint64
-	fallback     atomic.Uint64
+	transitions  atomic.Uint64
 	ringCalls    atomic.Uint64
 	ringFallback atomic.Uint64
 	ringOversize atomic.Uint64
@@ -90,24 +68,13 @@ type Dispatcher struct {
 	hBodyCycles *telemetry.Histogram
 }
 
-// NewDispatcher builds a dispatcher over a transport. The clock feeds
-// the adaptive policy's cost observations; nil disables observation
-// (every call then looks short). Pools are attached with UsePools.
-func NewDispatcher(t Transport, clock *cycles.Clock) *Dispatcher {
-	return &Dispatcher{
-		transport: t,
-		clock:     clock,
-		cutoff:    simcfg.SwitchlessCutoffCycles,
-		avg:       make(map[int]float64),
-	}
-}
-
-// UsePools attaches resident worker pools: ecallPool serves
-// untrusted→trusted calls, ocallPool trusted→untrusted. Either may be
-// nil; that direction then always uses full transitions.
-func (d *Dispatcher) UsePools(ecallPool, ocallPool Pool) {
-	d.ecallPool = ecallPool
-	d.ocallPool = ocallPool
+// NewDispatcher builds a dispatcher over a transport. switchless says
+// the transport charges its transitions at the switchless rate, so
+// they are counted and traced as route "switchless". The clock feeds
+// the body-cost observations of traced or instrumented calls; nil
+// disables them.
+func NewDispatcher(t Transport, clock *cycles.Clock, switchless bool) *Dispatcher {
+	return &Dispatcher{transport: t, clock: clock, switchless: switchless}
 }
 
 // SetTelemetry attaches a metrics registry. The dispatcher resolves its
@@ -123,118 +90,68 @@ func (d *Dispatcher) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // Invoke crosses the boundary in the given direction (in=true enters
-// the enclave) and runs fn on the other side. long forces a full
-// transition regardless of the adaptive policy — callers use it for
-// calls known to hold a worker for a long time (GC helper loops).
-func (d *Dispatcher) Invoke(in bool, id int, long bool, fn func() error) error {
-	return d.InvokeSpan(in, id, long, nil, fn)
+// the enclave) and runs fn on the other side.
+func (d *Dispatcher) Invoke(in bool, id int, fn func() error) error {
+	return d.InvokeSpan(in, id, nil, fn)
 }
 
 // InvokeSpan is Invoke carrying an optional trace span for the
-// transition. The span (nil for unsampled calls) receives the routing
-// decision, direction and routine id here, and the far-side body cost
-// from the observation wrapper; the caller owns Finish.
-func (d *Dispatcher) InvokeSpan(in bool, id int, long bool, sp *telemetry.Span, fn func() error) error {
+// transition. The span (nil for unsampled calls) receives the route,
+// direction and routine id here, and the far-side body cost from the
+// observation wrapper; the caller owns Finish.
+func (d *Dispatcher) InvokeSpan(in bool, id int, sp *telemetry.Span, fn func() error) error {
 	sp.SetDir(in)
 	sp.SetRoutine(id)
+	if d.switchless {
+		sp.SetRoute("switchless")
+	} else {
+		sp.SetRoute("full")
+	}
 	var start time.Time
 	if d.hDispatchNS != nil {
 		start = time.Now()
 	}
-	err := d.route(in, id, long, sp, d.observed(id, sp, fn))
+	if d.clock != nil && (d.hBodyCycles != nil || sp != nil) {
+		fn = d.observed(sp, fn)
+	}
+	d.transitions.Add(1)
+	var err error
+	if in {
+		err = d.transport.Ecall(id, fn)
+	} else {
+		err = d.transport.Ocall(id, fn)
+	}
 	if d.hDispatchNS != nil {
 		d.hDispatchNS.ObserveDuration(time.Since(start))
 	}
 	return err
 }
 
-func (d *Dispatcher) route(in bool, id int, long bool, sp *telemetry.Span, wrapped func() error) error {
-	if pool := d.pool(in); pool != nil && !long && d.prefersSwitchless(id) {
-		err := pool.TryCall(id, wrapped)
-		if !errors.Is(err, sgx.ErrPoolBusy) && !errors.Is(err, sgx.ErrPoolStopped) {
-			d.switchless.Add(1)
-			sp.SetRoute("switchless")
-			return err
-		}
-		d.fallback.Add(1)
-		sp.SetRoute("fallback-full")
-	} else {
-		sp.SetRoute("full")
-	}
-	d.full.Add(1)
-	if in {
-		return d.transport.Ecall(id, wrapped)
-	}
-	return d.transport.Ocall(id, wrapped)
-}
-
-// Close stops any attached pools and ring groups.
+// Close stops any attached ring groups.
 func (d *Dispatcher) Close() {
-	if d.ecallPool != nil {
-		d.ecallPool.Stop()
-	}
-	if d.ocallPool != nil {
-		d.ocallPool.Stop()
-	}
 	d.ecallRings.Close()
 	d.ocallRings.Close()
 }
 
 // Stats returns a snapshot of the routing counters.
 func (d *Dispatcher) Stats() Stats {
-	return Stats{
-		FullCalls:       d.full.Load(),
-		SwitchlessCalls: d.switchless.Load(),
-		FallbackCalls:   d.fallback.Load(),
+	n := d.transitions.Load()
+	if d.switchless {
+		return Stats{SwitchlessCalls: n}
 	}
-}
-
-// RoutineCost returns the current moving-average body cost of a routine
-// in cycles (0 when never observed).
-func (d *Dispatcher) RoutineCost(id int) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.avg[id]
-}
-
-func (d *Dispatcher) pool(in bool) Pool {
-	if in {
-		return d.ecallPool
-	}
-	return d.ocallPool
-}
-
-// prefersSwitchless applies the adaptive policy: routines are assumed
-// short until observed otherwise. Observations under concurrency blend
-// in cycles charged by unrelated threads — acceptable noise for a
-// routing heuristic.
-func (d *Dispatcher) prefersSwitchless(id int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.avg[id] <= d.cutoff
+	return Stats{FullCalls: n}
 }
 
 // observed wraps fn to record its body cost (cycles charged between
-// entry and return, excluding the transition itself) into the EWMA,
-// the body-cycles histogram and the span.
-func (d *Dispatcher) observed(id int, sp *telemetry.Span, fn func() error) func() error {
-	if d.clock == nil {
-		return fn
-	}
+// entry and return, excluding the transition itself) into the
+// body-cycles histogram and the span.
+func (d *Dispatcher) observed(sp *telemetry.Span, fn func() error) func() error {
 	return func() error {
 		start := d.clock.Total()
 		err := fn()
 		spent := d.clock.Total() - start
 		sp.SetBodyCycles(spent)
 		d.hBodyCycles.Observe(spent)
-		cost := float64(spent)
-		d.mu.Lock()
-		if old, ok := d.avg[id]; ok {
-			d.avg[id] = old + simcfg.SwitchlessEWMAWeight*(cost-old)
-		} else {
-			d.avg[id] = cost
-		}
-		d.mu.Unlock()
 		return err
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"montsalvat/internal/cycles"
+	"montsalvat/internal/ring"
 	"montsalvat/internal/sgx"
 	"montsalvat/internal/simcfg"
+	"montsalvat/internal/telemetry"
 )
 
 // fakeTransport counts full transitions without charging anything.
@@ -36,39 +38,13 @@ func (t *fakeTransport) Ocall(id int, fn func() error) error {
 	return fn()
 }
 
-// fakePool serves or rejects switchless calls.
-type fakePool struct {
-	mu      sync.Mutex
-	calls   int
-	stopped bool
-	reject  error // returned without running fn when non-nil
-}
-
-func (p *fakePool) TryCall(id int, fn func() error) error {
-	p.mu.Lock()
-	if p.reject != nil {
-		err := p.reject
-		p.mu.Unlock()
-		return err
-	}
-	p.calls++
-	p.mu.Unlock()
-	return fn()
-}
-
-func (p *fakePool) Stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-}
-
 func TestDispatcherFullWithoutPools(t *testing.T) {
 	tr := newFakeTransport()
-	d := NewDispatcher(tr, nil)
-	if err := d.Invoke(true, 1, false, func() error { return nil }); err != nil {
+	d := NewDispatcher(tr, nil, false)
+	if err := d.Invoke(true, 1, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Invoke(false, 2, false, func() error { return nil }); err != nil {
+	if err := d.Invoke(false, 2, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if tr.ecalls[1] != 1 || tr.ocalls[2] != 1 {
@@ -80,121 +56,108 @@ func TestDispatcherFullWithoutPools(t *testing.T) {
 	}
 }
 
-func TestDispatcherRoutesShortCallsSwitchless(t *testing.T) {
-	tr := newFakeTransport()
-	epool, opool := &fakePool{}, &fakePool{}
-	d := NewDispatcher(tr, nil)
-	d.UsePools(epool, opool)
-	for i := 0; i < 5; i++ {
-		if err := d.Invoke(true, 1, false, func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Invoke(false, 2, false, func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if epool.calls != 5 || opool.calls != 5 {
-		t.Fatalf("pool calls = %d/%d, want 5/5", epool.calls, opool.calls)
-	}
-	if len(tr.ecalls)+len(tr.ocalls) != 0 {
-		t.Fatalf("unexpected full transitions: %v %v", tr.ecalls, tr.ocalls)
-	}
-	if st := d.Stats(); st.SwitchlessCalls != 10 || st.FullCalls != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDispatcherLongFlagForcesFull(t *testing.T) {
-	tr := newFakeTransport()
-	epool := &fakePool{}
-	d := NewDispatcher(tr, nil)
-	d.UsePools(epool, nil)
-	if err := d.Invoke(true, 9, true, func() error { return nil }); err != nil {
+// TestDispatcherSwitchlessChargePolicy: under Config.Switchless every
+// transition takes the regular enclave path, is charged exactly
+// SwitchlessCallCycles, is traced as route "switchless", and counts as
+// a switchless call.
+func TestDispatcherSwitchlessChargePolicy(t *testing.T) {
+	cfg := simcfg.ForTest()
+	cfg.Switchless = true
+	clk := cycles.New(simcfg.CPUHz, false)
+	e, err := sgx.Create(cfg, clk, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if epool.calls != 0 || tr.ecalls[9] != 1 {
-		t.Fatalf("long call touched the pool (%d) or skipped the transport (%v)", epool.calls, tr.ecalls)
+	if err := e.AddPages([]byte("switchless policy image")); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestDispatcherAdaptivePolicy(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
-	tr := newFakeTransport()
-	epool := &fakePool{}
-	d := NewDispatcher(tr, clk)
-	d.UsePools(epool, nil)
-
-	// First call is optimistically switchless; its body then reveals a
-	// cost above the cutoff, so later calls take full transitions.
-	heavy := func() error {
-		clk.Charge(2 * simcfg.SwitchlessCutoffCycles)
-		return nil
+	signer, err := sgx.NewSigner()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := d.Invoke(true, 5, false, heavy); err != nil {
+	ss, err := signer.Sign(e.Measurement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Init(ss); err != nil {
+		t.Fatal(err)
+	}
+
+	d := NewDispatcher(e, clk, true)
+	tracer := telemetry.NewTracer(1, 16, 1)
+	const calls = 4
+	for i := 0; i < calls; i++ {
+		sp := tracer.StartRoot("ecall")
+		var body int64
+		before := clk.Total()
+		err := d.InvokeSpan(true, 1, sp, func() error {
+			// The nested ocall is one more switchless transition.
+			inner := clk.Total()
+			err := d.InvokeSpan(false, 2, nil, func() error { return nil })
+			body = clk.Total() - inner
+			return err
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if epool.calls != 1 {
-		t.Fatalf("pool served %d heavy calls, want only the probe", epool.calls)
-	}
-	if tr.ecalls[5] != 2 {
-		t.Fatalf("full transitions = %d, want 2", tr.ecalls[5])
-	}
-	if cost := d.RoutineCost(5); cost < simcfg.SwitchlessCutoffCycles {
-		t.Fatalf("RoutineCost = %g, want above cutoff", cost)
-	}
-
-	// A cheap routine stays switchless throughout.
-	for i := 0; i < 3; i++ {
-		if err := d.Invoke(true, 6, false, func() error { return nil }); err != nil {
-			t.Fatal(err)
+		if got := clk.Total() - before; got != 2*simcfg.SwitchlessCallCycles {
+			t.Fatalf("call %d charged %d cycles, want 2 x %d", i, got, simcfg.SwitchlessCallCycles)
+		}
+		if body != simcfg.SwitchlessCallCycles {
+			t.Fatalf("ocall charged %d cycles, want %d", body, simcfg.SwitchlessCallCycles)
+		}
+		if sp.Route != "switchless" || sp.BodyCycles != body {
+			t.Fatalf("span route %q body %d, want switchless / %d", sp.Route, sp.BodyCycles, body)
 		}
 	}
-	if epool.calls != 4 {
-		t.Fatalf("cheap routine not switchless: pool calls = %d", epool.calls)
+	st := d.Stats()
+	if st.SwitchlessCalls != 2*calls || st.FullCalls != 0 {
+		t.Fatalf("stats = %+v, want %d switchless calls", st, 2*calls)
 	}
-}
-
-func TestDispatcherFallsBackWhenPoolUnavailable(t *testing.T) {
-	for _, reject := range []error{sgx.ErrPoolBusy, sgx.ErrPoolStopped} {
-		tr := newFakeTransport()
-		epool := &fakePool{reject: reject}
-		d := NewDispatcher(tr, nil)
-		d.UsePools(epool, nil)
-		if err := d.Invoke(true, 3, false, func() error { return nil }); err != nil {
-			t.Fatalf("%v: %v", reject, err)
-		}
-		if tr.ecalls[3] != 1 {
-			t.Fatalf("%v: no full-transition fallback", reject)
-		}
-		if st := d.Stats(); st.FallbackCalls != 1 || st.FullCalls != 1 || st.SwitchlessCalls != 0 {
-			t.Fatalf("%v: stats = %+v", reject, st)
-		}
+	if es := e.Stats(); es.Ecalls+es.Ocalls != st.SwitchlessCalls {
+		t.Fatalf("enclave made %d transitions, dispatcher counted %d", es.Ecalls+es.Ocalls, st.SwitchlessCalls)
 	}
 }
 
 func TestDispatcherPropagatesBodyError(t *testing.T) {
 	tr := newFakeTransport()
-	d := NewDispatcher(tr, nil)
-	d.UsePools(&fakePool{}, nil)
+	d := NewDispatcher(tr, nil, true)
 	boom := errors.New("boom")
-	if err := d.Invoke(true, 1, false, func() error { return boom }); !errors.Is(err, boom) {
+	if err := d.Invoke(true, 1, func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	// Body errors are not pool-availability errors: no fallback retry.
-	if st := d.Stats(); st.SwitchlessCalls != 1 || st.FullCalls != 0 {
-		t.Fatalf("stats = %+v", st)
+	// A body error is the call's result: no retry on another route.
+	if st := d.Stats(); st.SwitchlessCalls != 1 || tr.ecalls[1] != 1 {
+		t.Fatalf("stats = %+v, transport %v", st, tr.ecalls)
 	}
 }
 
 func TestDispatcherClose(t *testing.T) {
-	epool, opool := &fakePool{}, &fakePool{}
-	d := NewDispatcher(newFakeTransport(), nil)
-	d.UsePools(epool, opool)
+	handler := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+		return nil, false, nil
+	}
+	clk := cycles.New(simcfg.CPUHz, false)
+	var groups [2]*ring.Group
+	for i := range groups {
+		g, err := ring.NewGroup(ring.Config{Workers: 1}, clk, handler, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[i] = g
+	}
+	d := NewDispatcher(newFakeTransport(), nil, false)
+	d.UseRings(groups[0], groups[1])
 	d.Close()
-	if !epool.stopped || !opool.stopped {
-		t.Fatal("Close did not stop the pools")
+	for _, in := range []bool{true, false} {
+		ran, err := d.InvokeRing(in, 1, 1, nil, func(slot []byte) ([]byte, error) {
+			return append(slot, 0), nil
+		}, nil)
+		if ran || err != nil {
+			t.Fatalf("in=%v: ring carried a call after Close (ran=%v err=%v)", in, ran, err)
+		}
+	}
+	if rs := d.RingStats(); rs.RingFallbacks != 2 {
+		t.Fatalf("ring stats = %+v, want 2 fallbacks", rs)
 	}
 }
 

@@ -55,6 +55,9 @@ func TestBufPoolGrownBufferReclassified(t *testing.T) {
 }
 
 func TestBufPoolStats(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race; hit counts are exact only without it")
+	}
 	p := NewBufPool()
 	if s := p.Stats(); s.Hits != 0 || s.Misses != 0 || s.MissRate() != 0 {
 		t.Fatalf("fresh pool stats %+v", s)
@@ -90,6 +93,9 @@ func TestBufPoolIdleMissRateZero(t *testing.T) {
 // numbers — counters return to zero (and MissRate to 0, not NaN) while
 // pooled buffers stay warm.
 func TestBufPoolResetStats(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race; hit counts are exact only without it")
+	}
 	p := NewBufPool()
 	b := p.Get(100) // miss
 	p.Put(b)

@@ -11,14 +11,15 @@ import (
 // Ring routing: the zero-copy data plane (internal/ring) is a third
 // route next to "switchless" and "full". Unlike those, it is not a
 // transition at all — the payload is encoded straight into a shared
-// slot, sealed in place, and served by a resident consumer — so the
-// dispatcher only arbitrates WHETHER a call may ride a ring and keeps
-// the routing counters; the payload mechanics stay in the world layer's
-// fill/done callbacks and the ring package. Any reason a call cannot
-// ride (no group attached, payload over the slot capacity, every
-// producer busy, group stopped) reports "didn't run" and the caller
-// falls through to Invoke's frame path, mirroring the switchless
-// fallback discipline that keeps nested relay chains deadlock-free.
+// slot, sealed in place, and served by a resident consumer, the only
+// resident workers the boundary has — so the dispatcher only
+// arbitrates WHETHER a call may ride a ring and keeps the routing
+// counters; the payload mechanics stay in the world layer's fill/done
+// callbacks and the ring package. Any reason a call cannot ride (no
+// group attached, payload over the slot capacity, every producer busy,
+// group stopped) reports "didn't run" and the caller falls through to
+// Invoke's frame path. A busy ring therefore never blocks a caller,
+// which keeps nested relay chains deadlock-free.
 
 // RingStats counts ring-route outcomes at the dispatcher level.
 type RingStats struct {

@@ -12,7 +12,7 @@
 // neither collide with nor leak into another's, and session teardown
 // releases all of the session's objects through the existing GC-release
 // path. Requests fan in through the world's boundary dispatch layer, so
-// cross-session transition batching and switchless routing apply to
+// cross-session transition batching and switchless transitions apply to
 // served traffic. Admission control (bounded in-flight, per-session and
 // global limits, deadline propagation, graceful drain) makes overload
 // degrade into typed ErrOverloaded/ErrDraining rejections instead of

@@ -160,10 +160,24 @@ func TestTransitionCostsCharged(t *testing.T) {
 }
 
 func TestSwitchlessModeIsCheaper(t *testing.T) {
+	e, clk := switchlessEnclave(t, 1)
+	before := clk.Total()
+	if err := e.Ecall(1, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Total() - before; got != simcfg.SwitchlessCallCycles {
+		t.Fatalf("switchless ecall charged %d, want %d", got, simcfg.SwitchlessCallCycles)
+	}
+}
+
+// switchlessEnclave returns an initialized enclave whose transitions are
+// charged at the switchless rate.
+func switchlessEnclave(t *testing.T, numTCS int) (*Enclave, *cycles.Clock) {
+	t.Helper()
 	clk := cycles.New(simcfg.CPUHz, false)
 	cfg := simcfg.ForTest()
 	cfg.Switchless = true
-	e, err := Create(cfg, clk, 1)
+	e, err := Create(cfg, clk, numTCS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +188,88 @@ func TestSwitchlessModeIsCheaper(t *testing.T) {
 	if err := e.Init(ss); err != nil {
 		t.Fatal(err)
 	}
+	return e, clk
+}
+
+// TestSwitchlessStats: a switchless transition is a regular ecall or
+// ocall for every counter, totals and per routine alike.
+func TestSwitchlessStats(t *testing.T) {
+	e, _ := switchlessEnclave(t, 1)
+	const calls = 10
+	for i := 0; i < calls; i++ {
+		err := e.Ecall(3, func() error {
+			return e.Ocall(4, func() error { return nil })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if st.Ecalls != calls || st.Ocalls != calls || st.EcallsByID[3] != calls || st.OcallsByID[4] != calls {
+		t.Fatalf("stats = %+v, want %d ecalls and ocalls", st, calls)
+	}
+}
+
+// TestSwitchlessConcurrentCallers: switchless is a charge policy on the
+// regular transition path, so concurrent callers contend for TCS slots
+// like any ecall, and the ledger and counters are exact whatever the
+// interleaving.
+func TestSwitchlessConcurrentCallers(t *testing.T) {
+	e, clk := switchlessEnclave(t, 4)
 	before := clk.Total()
-	if err := e.Ecall(1, func() error { return nil }); err != nil {
+	const callers = 64
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- e.Ecall(1, func() error {
+				return e.Ocall(2, func() error { return nil })
+			})
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := clk.Total()-before, int64(2*callers*simcfg.SwitchlessCallCycles); got != want {
+		t.Fatalf("charged %d cycles, want %d", got, want)
+	}
+	if e.TCSInUse() != 0 {
+		t.Fatalf("TCS in use after all calls returned: %d", e.TCSInUse())
+	}
+}
+
+// TestEnterResident: a resident consumer holds one TCS slot and one
+// entry charge for its lifetime, may ocall meanwhile, and releases the
+// slot exactly once.
+func TestEnterResident(t *testing.T) {
+	e, clk := initializedEnclave(t, []byte("img"))
+	before := clk.Total()
+	leave, err := e.EnterResident()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := clk.Total() - before; got != simcfg.SwitchlessCallCycles {
-		t.Fatalf("switchless ecall charged %d, want %d", got, simcfg.SwitchlessCallCycles)
+	if got := clk.Total() - before; got != simcfg.EcallCycles {
+		t.Fatalf("entry charged %d, want %d", got, simcfg.EcallCycles)
+	}
+	if e.TCSInUse() != 1 || !e.InEnclave() {
+		t.Fatalf("resident: TCS in use %d, in enclave %v", e.TCSInUse(), e.InEnclave())
+	}
+	if err := e.Ocall(1, func() error { return nil }); err != nil {
+		t.Fatalf("ocall from resident consumer: %v", err)
+	}
+	leave()
+	leave()
+	if e.TCSInUse() != 0 || e.InEnclave() {
+		t.Fatalf("after leave: TCS in use %d, in enclave %v", e.TCSInUse(), e.InEnclave())
+	}
+	if st := e.Stats(); st.Ecalls != 1 || st.Ocalls != 1 {
+		t.Fatalf("stats = %+v, want 1 ecall and 1 ocall", st)
 	}
 }
 

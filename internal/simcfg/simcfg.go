@@ -44,8 +44,10 @@ const (
 	OcallCycles = 8600
 
 	// SwitchlessCallCycles models the future-work switchless-call mode
-	// (§7, citing [51]): a worker-thread mailbox avoids the context
-	// switch, leaving only cross-core cache-coherence latency.
+	// (§7, citing [51]): the SDK hands the call to a resident worker
+	// thread on another core, avoiding the context switch and leaving
+	// only cross-core cache-coherence latency. Here it is a charge
+	// policy (Config.Switchless), not a modelled worker pool.
 	SwitchlessCallCycles = 1200
 
 	// EPCPageEvictCycles is the cost of evicting one EPC page (EWB):
@@ -85,27 +87,9 @@ const (
 	EnclaveSerializeFactor    = 3.5
 )
 
-// Boundary dispatch layer constants (internal/boundary): adaptive
-// switchless routing and transition batching on the proxy-call hot path.
+// Boundary dispatch layer constants (internal/boundary): transition
+// batching on the proxy-call hot path.
 const (
-	// DefaultSwitchlessWorkers is the resident-worker count per pool
-	// direction when Config.SwitchlessWorkers is unset. The SDK default
-	// is a small number of workers per direction; two suffice for the
-	// evaluation workloads without wasting TCS slots.
-	DefaultSwitchlessWorkers = 2
-
-	// SwitchlessCutoffCycles is the adaptive-routing threshold: routines
-	// whose moving-average body cost exceeds this keep full transitions,
-	// because a resident worker blocked on a long call (GC helper, bulk
-	// I/O) starves the mailbox. Set a few times the full round-trip
-	// transition cost, so only genuinely long calls are excluded.
-	SwitchlessCutoffCycles = 50_000
-
-	// SwitchlessEWMAWeight is the weight of the newest observation in
-	// the per-routine exponentially-weighted moving average of body
-	// cycles used by the adaptive routing policy.
-	SwitchlessEWMAWeight = 0.25
-
 	// DefaultBatchWatermark is the queue depth at which pending
 	// result-independent relay calls are flushed in one batched
 	// transition when Config.BatchWatermark is unset.
@@ -121,14 +105,14 @@ const (
 	// RingSubmitCycles is the hand-off cost of publishing a submission
 	// (or completion) while the other side is actively polling: a
 	// cross-core cache-line transfer of the ring indices, well under the
-	// switchless mailbox hand-off (HotCalls [56] measures ~600 cycles
+	// switchless hand-off (HotCalls [56] measures ~600 cycles
 	// for a polled shared-memory call; the index bump alone is cheaper).
 	RingSubmitCycles = 200
 
 	// RingDoorbellCycles is charged instead of RingSubmitCycles for the
 	// first entry of a batch, which finds the resident consumer asleep
 	// and must ring the doorbell — a futex-style wake, the same scale as
-	// the switchless mailbox hand-off.
+	// the switchless hand-off.
 	RingDoorbellCycles = 1200
 
 	// RingCryptoBytesPerCycle is the streaming AES-GCM rate of the
@@ -143,8 +127,7 @@ const (
 
 	// DefaultRingWorkers is the number of SPSC rings (each with one
 	// resident consumer worker) per direction when Config.RingWorkers is
-	// unset — mirroring DefaultSwitchlessWorkers, since trusted-side
-	// consumers pin TCS slots just like switchless workers.
+	// unset. Trusted-side consumers pin a TCS slot each.
 	DefaultRingWorkers = 2
 
 	// DefaultRingSlots is the submission-queue depth per ring when
@@ -211,15 +194,10 @@ type Config struct {
 	OcallCycles int64
 
 	// Switchless enables the reduced-cost transition mode (§7 future
-	// work); when true both transition directions cost
-	// SwitchlessCallCycles, and partitioned worlds start resident
-	// switchless worker pools in both directions with the boundary
-	// dispatch layer routing short relay calls through them.
+	// work): a charge policy, not a mechanism. When true both transition
+	// directions cost SwitchlessCallCycles, and the boundary dispatch
+	// layer reports those transitions as route "switchless".
 	Switchless bool
-
-	// SwitchlessWorkers sizes each resident worker pool when Switchless
-	// is set (<=0 means DefaultSwitchlessWorkers).
-	SwitchlessWorkers int
 
 	// Batching coalesces result-independent relay calls (void-returning
 	// proxy calls, registry releases) into single batched transitions,

@@ -12,7 +12,7 @@ import (
 )
 
 // batchingWorld builds the partitioned bank app with transition batching
-// enabled (and optionally switchless worker pools).
+// enabled (and optionally switchless-rate transitions).
 func batchingWorld(t *testing.T, switchless bool) *world.World {
 	t.Helper()
 	opts := world.DefaultOptions()
@@ -243,8 +243,8 @@ func TestSweepBatchesReleases(t *testing.T) {
 	}
 }
 
-// TestSwitchlessEndToEnd: with worker pools on, proxy calls are served
-// through the mailbox instead of full transitions.
+// TestSwitchlessEndToEnd: with Switchless on, every proxy-call
+// transition is charged at the switchless rate and counted as such.
 func TestSwitchlessEndToEnd(t *testing.T) {
 	w := batchingWorld(t, true)
 	result, err := w.RunMain()
@@ -253,14 +253,7 @@ func TestSwitchlessEndToEnd(t *testing.T) {
 	}
 	wantBankResult(t, result)
 	ds := w.DispatchStats()
-	if ds.SwitchlessCalls == 0 {
-		t.Fatalf("no switchless calls: %+v", ds)
-	}
-	if ds.SwitchlessEcalls == 0 {
-		t.Fatalf("enclave saw no switchless ecalls: %+v", ds)
-	}
-	if ds.SwitchlessCalls != ds.SwitchlessEcalls+ds.SwitchlessOcalls {
-		t.Fatalf("dispatcher (%d) and enclave (%d+%d) disagree on switchless calls",
-			ds.SwitchlessCalls, ds.SwitchlessEcalls, ds.SwitchlessOcalls)
+	if ds.FullCalls != 0 || ds.SwitchlessCalls == 0 {
+		t.Fatalf("want only switchless transitions: %+v", ds)
 	}
 }

@@ -60,21 +60,20 @@ func (w *World) RenderTransitionReport() string {
 }
 
 // DispatchStats aggregates the boundary dispatch layer's counters: how
-// cross-runtime calls were routed (full transitions, switchless worker
-// mailboxes, fallbacks when the mailbox was busy) and how effectively
-// result-independent calls were coalesced into batched frames.
+// cross-runtime calls were routed (transitions at the full or the
+// switchless rate, ring slots) and how effectively result-independent
+// calls were coalesced into batched frames.
 type DispatchStats struct {
-	// FullCalls is the number of calls routed through full transitions.
+	// FullCalls is the number of transitions charged at the full
+	// ecall/ocall rate.
 	FullCalls uint64
-	// SwitchlessCalls is the number of calls served by worker pools.
+	// SwitchlessCalls is the number of transitions charged at the
+	// switchless rate (simcfg.Config.Switchless).
 	SwitchlessCalls uint64
-	// FallbackCalls counts switchless attempts that fell back to a full
-	// transition because the mailbox was busy or stopped.
+	// FallbackCalls is always zero: switchless is a charge policy, so
+	// no call can fall back from it. The field stays because the
+	// perfbench trace layer still reads it.
 	FallbackCalls uint64
-	// SwitchlessEcalls/SwitchlessOcalls are the enclave-level counters
-	// (a subset of the Stats totals).
-	SwitchlessEcalls uint64
-	SwitchlessOcalls uint64
 	// BatchFlushes is the number of batched transitions performed.
 	BatchFlushes uint64
 	// BatchedCalls is the total number of calls those flushes carried.
@@ -111,7 +110,6 @@ func (w *World) DispatchStats() DispatchStats {
 		bs := w.disp.Stats()
 		ds.FullCalls = bs.FullCalls
 		ds.SwitchlessCalls = bs.SwitchlessCalls
-		ds.FallbackCalls = bs.FallbackCalls
 		rs := w.disp.RingStats()
 		ds.RingCalls = rs.RingCalls
 		ds.RingFallbacks = rs.RingFallbacks
@@ -126,11 +124,6 @@ func (w *World) DispatchStats() DispatchStats {
 		ds.RingOverflowBytes += gs.OverflowBytes
 	}
 	ds.MEECopiedBytes = w.meeBytes.Load()
-	if w.enclave != nil {
-		es := w.enclave.Stats()
-		ds.SwitchlessEcalls = es.SwitchlessEcalls
-		ds.SwitchlessOcalls = es.SwitchlessOcalls
-	}
 	for _, rt := range []*Runtime{w.untrusted, w.trusted} {
 		if rt == nil || rt.queue == nil {
 			continue

@@ -9,7 +9,7 @@ import (
 var ErrNotKilled = errors.New("world: restart of a live world (call Kill first)")
 
 // Kill tears down the trusted side of a partitioned world in place: GC
-// helpers stop, the dispatcher and its switchless pools shut down, and
+// helpers stop, the dispatcher and its ring groups shut down, and
 // the enclave is destroyed — the simulation of the enclave process
 // dying (crash, host restart, EPC eviction storm). The World object
 // itself survives: the clock keeps running, telemetry stays registered,
@@ -37,7 +37,7 @@ func (w *World) Kill() {
 	}
 	w.helpersOn = helpersOn
 	if w.disp != nil {
-		w.disp.Close() // stops both switchless pools and ring groups
+		w.disp.Close() // stops both ring groups
 	}
 	if w.enclave != nil {
 		w.enclave.Destroy()
@@ -46,8 +46,6 @@ func (w *World) Kill() {
 	w.trusted = nil
 	w.untrusted = nil
 	w.disp = nil
-	w.epool = nil
-	w.opool = nil
 	w.erings = nil
 	w.orings = nil
 	w.killed = true
@@ -96,7 +94,7 @@ func (w *World) Restart() error {
 			w.enclave.Destroy()
 		}
 		w.enclave, w.trusted, w.untrusted = nil, nil, nil
-		w.disp, w.epool, w.opool = nil, nil, nil
+		w.disp = nil
 		w.erings, w.orings = nil, nil
 		w.stateMu.Unlock()
 		return fmt.Errorf("world: restart: %w", err)

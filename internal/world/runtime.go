@@ -250,10 +250,9 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 // stand-in for stack/register roots in a real VM). It also carries the
 // activation's trace span: a relay executing a sampled cross-boundary
 // call stores the call's span here, so proxy invocations the body makes
-// become child spans of the same trace — including across the worker
-// goroutines of the switchless pools, which run the closure that
-// captured this frame. Nil when the chain is unsampled or telemetry is
-// off.
+// become child spans of the same trace — including across the resident
+// ring consumers, which run the handler on their own goroutines. Nil
+// when the chain is unsampled or telemetry is off.
 type frame struct {
 	owned []int64
 	span  *telemetry.Span
@@ -831,7 +830,7 @@ func (rt *Runtime) remoteCall(fr *frame, class, method string, hash int64, args 
 		// streams them through the MEE.
 		w.clock.ChargeBytes(len(argBuf), simcfg.MEEBytesPerCycle)
 		w.meeBytes.Add(uint64(len(argBuf)))
-		err = w.disp.InvokeSpan(dir == edl.Ecall, routine.ID, false, sp, invoke)
+		err = w.disp.InvokeSpan(dir == edl.Ecall, routine.ID, sp, invoke)
 		if err == nil {
 			w.clock.ChargeBytes(len(resultBuf), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(resultBuf)))

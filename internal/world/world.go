@@ -168,12 +168,10 @@ type World struct {
 	orings   *ring.Group
 	meeBytes atomic.Uint64
 
-	// tel is the optional observability layer (nil when disabled); epool
-	// and opool are retained for the occupancy collector. hMarshal is the
-	// cached marshal-bytes histogram (nil when telemetry is off).
+	// tel is the optional observability layer (nil when disabled).
+	// hMarshal is the cached marshal-bytes histogram (nil when telemetry
+	// is off).
 	tel      *telemetry.Telemetry
-	epool    *sgx.SwitchlessPool
-	opool    *sgx.HostPool
 	hMarshal *telemetry.Histogram
 
 	hashCounter atomic.Int64
@@ -235,23 +233,10 @@ func NewPartitioned(opts Options, tImg, uImg *image.Image, iface *edl.File) (*Wo
 
 // initBoundary builds the boundary dispatch layer of a partitioned
 // world: the routing dispatcher, the per-runtime batching queues, and —
-// in switchless mode — the resident worker pools of both directions.
+// with rings on — the resident ring consumers of both directions.
 func (w *World) initBoundary() error {
-	w.disp = boundary.NewDispatcher(w.enclave, w.clock)
+	w.disp = boundary.NewDispatcher(w.enclave, w.clock, w.cfg.Switchless)
 	w.disp.SetTelemetry(w.tel.Registry())
-	if w.cfg.Switchless {
-		epool, err := w.enclave.StartSwitchless(w.cfg.SwitchlessWorkers)
-		if err != nil {
-			return fmt.Errorf("world: switchless ecall pool: %w", err)
-		}
-		opool, err := w.enclave.StartSwitchlessHost(w.cfg.SwitchlessWorkers)
-		if err != nil {
-			epool.Stop()
-			return fmt.Errorf("world: switchless ocall pool: %w", err)
-		}
-		w.disp.UsePools(epool, opool)
-		w.epool, w.opool = epool, opool
-	}
 	if w.cfg.Rings {
 		rcfg := ring.Config{
 			Workers:   w.cfg.RingWorkers,
@@ -259,9 +244,8 @@ func (w *World) initBoundary() error {
 			SlotBytes: w.cfg.RingSlotBytes,
 		}
 		// The ecall group's consumers are resident INSIDE the enclave
-		// (each holds a TCS slot for the group's lifetime, like a
-		// switchless worker); the ocall group's consumers are plain host
-		// goroutines.
+		// (each holds a TCS slot for the group's lifetime); the ocall
+		// group's consumers are plain host goroutines.
 		erings, err := ring.NewGroup(rcfg, w.clock, w.ringHandler(w.trusted), w.enclave.EnterResident)
 		if err != nil {
 			return fmt.Errorf("world: ecall ring group: %w", err)
@@ -692,7 +676,7 @@ func (w *World) sweep(rt *Runtime) error {
 	if w.enclave != nil {
 		sp := w.tel.Tracer().StartRoot("gc-sweep " + rt.name)
 		sp.SetBatchSize(len(dead))
-		err := w.disp.InvokeSpan(!rt.trusted, idGCSweep, false, sp, release)
+		err := w.disp.InvokeSpan(!rt.trusted, idGCSweep, sp, release)
 		sp.Finish(err)
 		return err
 	}
@@ -775,7 +759,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 			// the MEE like any marshalled argument buffer.
 			w.clock.ChargeBytes(len(frame), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(frame)))
-			err = w.disp.InvokeSpan(to.trusted, idBatch, false, sp, invoke)
+			err = w.disp.InvokeSpan(to.trusted, idBatch, sp, invoke)
 		} else {
 			err = invoke()
 		}
@@ -846,7 +830,7 @@ func (w *World) flushQueue(rt *Runtime) error {
 	return rt.queue.Flush()
 }
 
-// Close flushes pending batched calls, stops helpers and worker pools,
+// Close flushes pending batched calls, stops helpers and ring groups,
 // and destroys the enclave. Flush errors are dropped; callers that must
 // observe them (e.g. the gateway's graceful drain) use CloseErr.
 func (w *World) Close() { _ = w.CloseErr() }
@@ -904,7 +888,6 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 		ds := w.disp.Stats()
 		reg.Counter("montsalvat_boundary_calls_total", "route", "full").Set(ds.FullCalls)
 		reg.Counter("montsalvat_boundary_calls_total", "route", "switchless").Set(ds.SwitchlessCalls)
-		reg.Counter("montsalvat_boundary_calls_total", "route", "fallback").Set(ds.FallbackCalls)
 		rs := w.disp.RingStats()
 		reg.Counter("montsalvat_boundary_calls_total", "route", "ring").Set(rs.RingCalls)
 		reg.Counter("montsalvat_boundary_calls_total", "route", "ring-fallback").Set(rs.RingFallbacks)
@@ -946,23 +929,9 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 		es := w.enclave.Stats()
 		reg.Counter("montsalvat_sgx_ecalls_total").Set(es.Ecalls)
 		reg.Counter("montsalvat_sgx_ocalls_total").Set(es.Ocalls)
-		reg.Counter("montsalvat_sgx_switchless_ecalls_total").Set(es.SwitchlessEcalls)
-		reg.Counter("montsalvat_sgx_switchless_ocalls_total").Set(es.SwitchlessOcalls)
 		reg.Gauge("montsalvat_sgx_heap_bytes_in_use").Set(int64(es.HeapBytesInUse))
 		reg.Gauge("montsalvat_sgx_tcs_in_use").Set(int64(w.enclave.TCSInUse()))
 		reg.Gauge("montsalvat_sgx_tcs_cap").Set(int64(w.enclave.TCSCap()))
-	}
-	if w.epool != nil {
-		ps := w.epool.Stats()
-		reg.Gauge("montsalvat_sgx_pool_workers", "dir", "ecall").Set(int64(ps.Workers))
-		reg.Gauge("montsalvat_sgx_pool_busy", "dir", "ecall").Set(int64(ps.Busy))
-		reg.Gauge("montsalvat_sgx_pool_queued", "dir", "ecall").Set(int64(ps.Queued))
-	}
-	if w.opool != nil {
-		ps := w.opool.Stats()
-		reg.Gauge("montsalvat_sgx_pool_workers", "dir", "ocall").Set(int64(ps.Workers))
-		reg.Gauge("montsalvat_sgx_pool_busy", "dir", "ocall").Set(int64(ps.Busy))
-		reg.Gauge("montsalvat_sgx_pool_queued", "dir", "ocall").Set(int64(ps.Queued))
 	}
 
 	for _, rt := range []*Runtime{w.trusted, w.untrusted} {
